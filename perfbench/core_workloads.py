@@ -15,6 +15,7 @@ disagree by more than the regression bounds.
 
 from __future__ import annotations
 
+import copy
 import math
 import shutil
 import tempfile
@@ -82,8 +83,10 @@ ALIGN_INSTANCES = 8
 SUITE_INSTANCES = 8
 TOPOLOGY_INSTANCES = 4
 
-#: Oracle check of topology_4k: nodes in the sampled subgraph.
-ORACLE_NODES = 120
+#: Oracle check of topology_4k, per graph: edges with the largest endpoint
+#: degree sum, and edges drawn at random.
+ORACLE_HUB_EDGES = 4
+ORACLE_RANDOM_EDGES = 40
 TRACE_KEY = "_perfbench_trace"
 _EXECUTE_JOB = runner_executor.execute_job
 
@@ -170,7 +173,8 @@ def _overhead(untraced: List[float], traced: List[float]) -> Dict[str, float]:
 
 
 def _traced_units(seconds: float, unit, untraced_walls: List[float]) -> tuple:
-    """Run ``unit`` under core spans for ``seconds``; (layer metrics, notes)."""
+    """Run ``unit`` under core spans for ``seconds``; (layer metrics, notes,
+    unit outputs)."""
     recorder = SpanRecorder()
 
     def traced_unit(index):
@@ -180,10 +184,10 @@ def _traced_units(seconds: float, unit, untraced_walls: List[float]) -> tuple:
 
     with Patcher() as patcher:
         install_core_patches(patcher, recorder)
-        traced_walls, _, _ = run_timed(seconds, traced_unit)
+        traced_walls, outputs, _ = run_timed(seconds, traced_unit)
     metrics = layer_metrics(recorder, len(traced_walls),
                             _overhead(untraced_walls, traced_walls))
-    return metrics, share_lines(recorder)
+    return metrics, share_lines(recorder), outputs
 
 
 def _unit_metrics(walls: List[float], ops: List[float], elapsed: float,
@@ -226,30 +230,39 @@ def run_align_1k(seed: int, seconds: float, trace: bool) -> Outcome:
     reset_peak_rss()
     walls, results, elapsed = run_timed(_split(seconds, trace), unit)
     peak = peak_rss_mb()
+    traced: list = []
+    if trace:
+        layers, shares, traced = _traced_units(_split(seconds, trace), unit, walls)
     # Quality covers every instance, also those a slow run never reached;
-    # the traced run reports no quality metric and checks what it ran.
+    # the traced run reports no quality metric.  Every align that ran, traced
+    # or not, is checked.
     if not trace:
         results += [unit(i) for i in range(len(results), len(pairs))]
+    checked = [(result, pairs[i % len(pairs)])
+               for run in (results, traced) for i, result in enumerate(run)]
     p_at_1 = [
         precision_at_q(result.alignment_matrix, pair.ground_truth, q=1)
-        for result, pair in zip(results, pairs)
+        for result, pair in checked
     ]
-    finite = all(math.isfinite(loss) for r in results for loss in r.training_losses)
+    finite = all(math.isfinite(loss) for r, _ in checked for loss in r.training_losses)
     correct = finite and min(p_at_1) >= P_AT_1_FLOOR
+    # One value per pair, so the metric does not weigh pairs by how often a
+    # run reached them.
+    per_pair = p_at_1[: len(pairs)]
     notes = [
         _sample_note(walls, walls, "aligns") + f" over {len(pairs)} pairs",
-        f"p@1 per pair {min(p_at_1):.4f}..{max(p_at_1):.4f} (floor {P_AT_1_FLOOR}), "
-        f"losses finite: {finite}",
+        f"p@1 over {len(checked)} aligns {min(p_at_1):.4f}..{max(p_at_1):.4f} "
+        f"(floor {P_AT_1_FLOOR}), losses finite: {finite}",
     ]
     metrics = {
         "setup_s": setup_s,
         "peak_rss_mb": peak,
-        "p_at_1": sum(p_at_1) / len(p_at_1),
+        "p_at_1": sum(per_pair) / len(per_pair),
         "ok_share": 1.0,
         **_unit_metrics(walls, walls, elapsed, len(walls), ALIGN_NODES * len(walls)),
     }
     if trace:
-        metrics, shares = _traced_units(_split(seconds, trace), unit, walls)
+        metrics = layers
         notes += shares
     return Outcome(correct, len(walls), 0, metrics, notes)
 
@@ -346,7 +359,9 @@ def run_suite_paper(seed: int, seconds: float, trace: bool, workdir: Path) -> Ou
 
         with Patcher() as patcher:
             patcher.replace(runner_executor, "execute_job", traced_execute_job)
-            traced_walls, _, _ = run_timed(_split(seconds, trace), traced_unit)
+            traced_walls, traced_reports, _ = run_timed(_split(seconds, trace), traced_unit)
+        # Every traced job is checked too.
+        correct &= all(a["status"] == "done" for r in traced_reports for a in r.artifacts)
         extra = _overhead(walls, traced_walls)
         for column, name in enumerate(("runner.jobs_done", "runner.jobs_failed",
                                        "runner.job_s_p50", "runner.pool_idle_share")):
@@ -359,24 +374,36 @@ def run_suite_paper(seed: int, seconds: float, trace: bool, workdir: Path) -> Ou
 # ----------------------------------------------------------------------
 # topology_4k
 # ----------------------------------------------------------------------
-def _oracle_share(graph, seed: int) -> float:
-    """Share of edges of a sampled subgraph whose 13 edge-orbit counts from
-    the default backend equal the ``python`` oracle's."""
+def _oracle_share(graph, counts, seed: int) -> float:
+    """Share of sampled edges of the full ``graph`` whose 13 edge-orbit
+    counts in ``counts`` (the timed output) equal the ``python`` oracle's.
+
+    The sample holds the ORACLE_HUB_EDGES edges with the largest endpoint
+    degree sum, where counts are largest and a counter is most likely to go
+    wrong, plus ORACLE_RANDOM_EDGES edges drawn from ``seed``.  The oracle
+    runs on the whole graph with only the sampled edges enumerated: an
+    edge's counts depend on its endpoints' two-hop neighbourhood, which a
+    subgraph would cut.
+    """
+    degrees = np.asarray(graph.degrees)
+    ends = np.asarray(counts.edges)
+    by_degree = np.argsort(-(degrees[ends[:, 0]] + degrees[ends[:, 1]]), kind="stable")
     rng = np.random.default_rng(seed)
-    frontier = [int(rng.integers(graph.n_nodes))]
-    chosen = set(frontier)
-    while frontier and len(chosen) < ORACLE_NODES:
-        node = frontier.pop(0)
-        for neighbour in graph.neighbors(node):
-            if len(chosen) < ORACLE_NODES and int(neighbour) not in chosen:
-                chosen.add(int(neighbour))
-                frontier.append(int(neighbour))
-    sub = graph.subgraph(np.array(sorted(chosen)))
-    fast = count_edge_orbits(sub, backend=align_config().orbit_backend)
-    oracle = count_edge_orbits(sub, backend="python")
-    if fast.edges != oracle.edges or not fast.edges:
-        return 0.0
-    return float(np.all(fast.counts == oracle.counts, axis=1).mean())
+    rows = set(by_degree[:ORACLE_HUB_EDGES].tolist())
+    rows |= set(rng.choice(len(ends), size=ORACLE_RANDOM_EDGES, replace=False).tolist())
+    rows = sorted(rows)
+    view = copy.copy(graph)
+    # Were the oracle to enumerate edges some other way, it would count
+    # every edge: slower, and still exact.
+    view.edge_list = lambda: [counts.edges[row] for row in rows]
+    oracle = count_edge_orbits(view, backend="python")
+    oracle_row = {edge: i for i, edge in enumerate(oracle.edges)}
+    agree = [
+        counts.edges[row] in oracle_row
+        and np.array_equal(counts.counts[row], oracle.counts[oracle_row[counts.edges[row]]])
+        for row in rows
+    ]
+    return float(np.mean(agree))
 
 
 def run_topology_4k(seed: int, seconds: float, trace: bool) -> Outcome:
@@ -407,32 +434,48 @@ def run_topology_4k(seed: int, seconds: float, trace: bool) -> Outcome:
     reset_peak_rss()
     walls, outputs, elapsed = run_timed(_split(seconds, trace), unit)
     peak = peak_rss_mb()
-    # A repeated instance must give identical counts; every unit must give
-    # one view per configured orbit.
-    stable = all(
-        np.array_equal(now.counts, before.counts)
-        for i in range(len(pairs), len(outputs))
-        for (now, _), (before, _) in zip(outputs[i], outputs[i - len(pairs)])
-    )
+    graph_seconds = list(op_seconds)
+    runs = [outputs]
+    if trace:
+        layers, shares, traced_outputs = _traced_units(_split(seconds, trace), unit, walls)
+        runs.append(traced_outputs)
+    # Every unit's output is checked.  The first output of each pair is
+    # compared with the python oracle on sampled edges of the full graphs;
+    # each repeat of a pair must give the same counts as its first output;
+    # every unit must give one view per configured orbit.
+    first: Dict[int, list] = {}
+    stable = True
+    for run in runs:
+        for index, output in enumerate(run):
+            counts = [graph_counts for graph_counts, _ in output]
+            before = first.setdefault(index % len(pairs), counts)
+            stable &= all(np.array_equal(a.counts, b.counts) for a, b in zip(counts, before))
     views_ok = all(
-        len(views) == len(config.resolved_orbits) for output in outputs for _, views in output
+        len(views) == len(config.resolved_orbits)
+        for run in runs for output in run for _, views in output
     )
-    oracle = _oracle_share(pairs[0].source, seed)
+    oracle = min(
+        _oracle_share(graph, counts, seeds[k])
+        for k, pair_counts in first.items()
+        for graph, counts in zip((pairs[k].source, pairs[k].target), pair_counts)
+    )
     correct = stable and views_ok and oracle == 1.0
+    checked = 2 * len(first) * (ORACLE_HUB_EDGES + ORACLE_RANDOM_EDGES)
     notes = [
-        _sample_note(walls, op_seconds, "graphs") + f" over {len(pairs)} pairs",
-        f"repeated pairs give identical counts: {stable}; oracle agreement on a "
-        f"{ORACLE_NODES}-node subgraph: {oracle:.4f}",
+        _sample_note(walls, graph_seconds, "graphs") + f" over {len(pairs)} pairs",
+        f"repeated pairs give identical counts: {stable}; oracle agreement on "
+        f"{checked} sampled edges of the {2 * len(first)} graphs run "
+        f"({ORACLE_HUB_EDGES} highest-degree edges each): {oracle:.4f}",
     ]
     metrics = {
         "setup_s": setup_s,
         "peak_rss_mb": peak,
         "p_at_1": oracle,
         "ok_share": 1.0,
-        **_unit_metrics(walls, op_seconds, elapsed, len(walls),
+        **_unit_metrics(walls, graph_seconds, elapsed, len(walls),
                         2 * TOPOLOGY_NODES * len(walls)),
     }
     if trace:
-        metrics, shares = _traced_units(_split(seconds, trace), unit, walls)
+        metrics = layers
         notes += shares
     return Outcome(correct, len(walls), 0, metrics, notes)

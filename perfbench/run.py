@@ -9,7 +9,8 @@ layers, plus the tracing overhead.  The last line of standard output is one
 JSON object: ``{"correct", "attempted", "failed", "metrics"}``.  A failed
 correctness check prints ``"correct": false`` and exits with status 1; a run
 that cannot start (no program to measure) exits with status 2 and prints no
-result.
+result.  Any other error, in the harness or in the program under test,
+ends the run with a traceback and status 1.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ WORKLOADS = ("align_1k", "suite_paper", "topology_4k", "serve_http")
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool, workdir: Path):
-    if not (ROOT / "src" / "repro").is_dir():
-        raise ImportError(f"no program to measure: {ROOT / 'src' / 'repro'} is missing")
     from perfbench import core_workloads, serve_workload
 
     if name == "align_1k":
@@ -58,6 +57,10 @@ def main(argv=None) -> int:
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
 
+    if not (ROOT / "src" / "repro").is_dir():
+        print(f"perfbench: cannot run: no program to measure, "
+              f"{ROOT / 'src' / 'repro'} is missing", file=sys.stderr)
+        return 2
     from perfbench.metrics import END_TO_END_UNITS, PER_LAYER_UNITS
 
     # A terminated run still stops its server and removes its scratch files.
@@ -70,9 +73,6 @@ def main(argv=None) -> int:
     try:
         outcome = run_workload(args.workload, args.seed, args.seconds,
                                bool(args.trace), workdir)
-    except ImportError as error:
-        print(f"perfbench: cannot run: {error}", file=sys.stderr)
-        return 2
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         try:
