@@ -5,18 +5,15 @@ similarity path:
 
 1. **Suite wall-clock per executor backend.**  A real sweep (3 dataset
    pairs × 3 methods) through ``run_suite`` once under the ``serial``
-   reference executor and once per pooled backend (``process-pool``,
-   ``thread-pool``, ``process-pool-shm``, ``jobs=4`` each), recording each
-   backend's wall clock and real-job speedup over serial.  The zero-copy
-   ``process-pool-shm`` run additionally lands a top-level ``shm`` section:
-   its speedup, a bit-identical comparison of every job artifact against
-   the serial run (timing fields stripped), and the warm-pool telemetry
-   (BLAS thread cap, dataset-cache hit counts) from the suite manifest.  On a multi-core machine the pooled
-   runs win roughly linearly; on a 1-CPU container CPU-bound jobs cannot
-   speed up, so the report also includes a *scheduler overlap* run with
-   I/O-bound stand-in jobs (each sleeps a fixed interval), which isolates
-   what the pool itself buys: N sleeping jobs complete in ~1/N of the
-   serial wall-clock even on one core.
+   reference executor and once under ``process-pool`` (``jobs=4``),
+   recording each backend's wall clock and real-job speedup over serial.
+   The ``process-pool`` entry also records ``bit_identical``: whether every
+   job artifact matches the serial run's once timing fields are stripped.
+   On a multi-core machine the pooled run wins roughly linearly; on a
+   1-CPU container CPU-bound jobs cannot speed up, so the report also
+   includes a *scheduler overlap* run with I/O-bound stand-in jobs (each
+   sleeps a fixed interval), which isolates what the pool itself buys: N
+   sleeping jobs complete in ~1/N of the serial wall-clock even on one core.
 2. **Dense vs chunked peak memory.**  ``tracemalloc``-traced peaks of the
    LISI → mutual-nearest-neighbour pipeline: dense (materialise the full
    score matrix) vs :func:`repro.similarity.chunked.chunked_mutual_nearest_neighbors`
@@ -110,7 +107,7 @@ def _run_suite_timed(suite, jobs, resolver=None, executor=None):
 
 
 #: Per-job fields that legitimately differ between executors (timing only);
-#: the shm bit-identical gate compares everything else.
+#: the bit-identical gate compares everything else.
 _TIMING_FIELDS = {"wall_seconds", "time_seconds", "stage_times"}
 
 
@@ -147,36 +144,17 @@ def bench_suite(quick: bool) -> dict:
             "all_done": serial_report.counts == {"done": n_jobs},
         }
     }
-    shm = None
-    for name in ("process-pool", "thread-pool", "process-pool-shm"):
-        wall_s, report = _run_suite_timed(suite, jobs=4, executor=name)
-        executors[name] = {
-            "executor": report.executor,
-            "workers": 4,
-            "wall_s": wall_s,
-            "speedup_vs_serial": serial_s / wall_s if wall_s else float("nan"),
-            "all_done": report.counts == {"done": n_jobs},
-        }
-        if name == "process-pool-shm":
-            # The zero-copy substrate's section: speedup, the bit-identical
-            # gate against serial, and the warm-pool telemetry run_suite
-            # aggregated into the manifest.
-            detail = report.executor_detail or {}
-            shm = {
-                "executor": report.executor,
-                "workers": 4,
-                "cpus": os.cpu_count() or 1,
-                "wall_s": wall_s,
-                "speedup_vs_serial": executors[name]["speedup_vs_serial"],
-                "bit_identical": _artifacts_identical(
-                    serial_report.artifacts, report.artifacts
-                ),
-                "blas_thread_cap": detail.get("blas_thread_cap"),
-                "blas_cap_method": detail.get("blas_cap_method"),
-                "datasets_staged": detail.get("datasets_staged"),
-                "shared_bytes": detail.get("shared_bytes"),
-                "dataset_cache": detail.get("dataset_cache"),
-            }
+    pool_s, pool_report = _run_suite_timed(suite, jobs=4, executor="process-pool")
+    executors["process-pool"] = {
+        "executor": pool_report.executor,
+        "workers": 4,
+        "wall_s": pool_s,
+        "speedup_vs_serial": serial_s / pool_s if pool_s else float("nan"),
+        "all_done": pool_report.counts == {"done": n_jobs},
+        "bit_identical": _artifacts_identical(
+            serial_report.artifacts, pool_report.artifacts
+        ),
+    }
 
     # Four *distinct* jobs (the grid keeps their spec hashes apart) whose
     # work is pure sleeping, so overlap is observable even on one core.
@@ -197,7 +175,6 @@ def bench_suite(quick: bool) -> dict:
         "serial_s": serial_s,
         "executors": executors,
         "all_done": all(entry["all_done"] for entry in executors.values()),
-        "shm": shm,
         "scheduler_overlap": {
             "executor": sleep_report.executor,
             "n_jobs": 4,
@@ -303,7 +280,6 @@ def main(argv=None) -> int:
 
     cpus = os.cpu_count() or 1
     suite = bench_suite(args.quick)
-    shm = suite.pop("shm")
     kernels = bench_kernel_memory(args.quick)
     greedy = bench_greedy_memory(args.quick)
 
@@ -313,21 +289,14 @@ def main(argv=None) -> int:
         f"speedup {entry['speedup_vs_serial']:.2f}x  all done: {entry['all_done']}"
         for name, entry in suite["executors"].items()
     ]
-    cache = (shm or {}).get("dataset_cache") or {}
-    shm_lines = [
-        f"    process-pool-shm: bit-identical to serial: {shm['bit_identical']},"
-        f" BLAS cap {shm['blas_thread_cap']} thread(s)/worker"
-        f" ({shm['blas_cap_method']}),"
-        f" {shm['datasets_staged']} dataset(s) / {shm['shared_bytes']} B staged,"
-        f" cache hits {cache.get('hits', 0)} / attaches {cache.get('attaches', 0)}",
-    ] if shm else []
     lines = [
         f"Suite runner and chunked kernels (cpus={cpus})",
         "",
         f"[1] suite of {suite['n_jobs']} jobs (3 datasets x 3 methods) "
         "per executor backend:",
         *executor_lines,
-        *shm_lines,
+        "    process-pool bit-identical to serial:"
+        f" {suite['executors']['process-pool']['bit_identical']}",
         f"    scheduler overlap (4 x {overlap['sleep_per_job_s']}s sleep jobs,"
         f" {overlap['executor']}):"
         f" jobs=1 {overlap['serial_s']:.2f}s, jobs=4 {overlap['parallel4_s']:.2f}s"
@@ -356,7 +325,6 @@ def main(argv=None) -> int:
         + (" --quick" if args.quick else ""),
         "cpus": cpus,
         "suite": suite,
-        "shm": shm,
         "kernel_memory": kernels,
         "greedy_memory": greedy,
     }
@@ -369,7 +337,7 @@ def main(argv=None) -> int:
         suite["all_done"]
         and kernels["identical"]
         and greedy["identical"]
-        and (shm is None or shm["bit_identical"])
+        and suite["executors"]["process-pool"]["bit_identical"]
     )
     return 0 if ok else 1
 

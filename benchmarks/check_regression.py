@@ -90,16 +90,14 @@ CHECKS = {
         ("suite.all_done", "true", None),
         ("suite.executors.serial.wall_s", "time", None),
         ("suite.executors.process-pool.wall_s", "ptime", None),
-        ("suite.executors.thread-pool.wall_s", "ptime", None),
-        ("suite.executors.process-pool-shm.wall_s", "ptime", None),
         # Guarded by the backend check: only compared when both runs
         # overlapped their sleep jobs through the same executor.
         ("suite.scheduler_overlap.speedup", "prate", None),
-        # The zero-copy pool must return byte-identical results to serial
-        # everywhere; its 1.3x speedup floor is a parallel property, so it
-        # auto-skips (by name, with the cpu counts) on boxes below 2 cpus.
-        ("shm.bit_identical", "true", None),
-        ("shm.speedup_vs_serial", "pfloor", 1.3),
+        # The pool must return byte-identical results to serial everywhere;
+        # its 1.2x speedup floor is a parallel property, so it auto-skips
+        # (by name, with the cpu counts) on boxes below 2 cpus.
+        ("suite.executors.process-pool.bit_identical", "true", None),
+        ("suite.executors.process-pool.speedup_vs_serial", "pfloor", 1.2),
         ("kernel_memory.identical", "true", None),
         ("kernel_memory.memory_ratio", "floor", 2.0),
         ("kernel_memory.chunked_s", "time", None),

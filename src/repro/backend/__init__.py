@@ -11,14 +11,9 @@ reproduction:
   linear-algebra kernels (GEMM, clip); ``numpy`` is the built-in default
   and accelerated implementations plug in via ``compute_registry()``,
 * :mod:`repro.backend.executor` — the ``"executor"`` registry of
-  job-execution strategies (``serial`` / ``process-pool`` /
-  ``thread-pool`` / ``process-pool-shm``) behind the
+  job-execution strategies (``serial`` / ``process-pool``) behind the
   :class:`ExecutorBackend` contract; the suite runner and the shard
   pipeline submit their jobs through it,
-* :mod:`repro.backend.shm` — the zero-copy shared-memory substrate under
-  ``process-pool-shm``: :class:`~repro.backend.shm.SharedArena` segments
-  with refcounted handles and guaranteed unlink, graph-pair staging /
-  attach helpers, per-worker dataset caches and BLAS thread governance,
 * :mod:`repro.backend.precision` — :class:`PrecisionPolicy`, the
   (compute dtype, accumulation dtype) pair threaded through the similarity
   kernels, the serve index/artifacts, the shard stitcher and the core
@@ -43,6 +38,7 @@ from repro.backend.executor import (
     ExecutorBackend,
     ExecutorJob,
     available_executor_backends,
+    blas_thread_cap,
     executor_registry,
     get_executor_backend,
     resolve_executor_backend,
@@ -55,14 +51,6 @@ from repro.backend.precision import (
     as_score_matrix,
     resolve_policy,
     score_dtype,
-)
-from repro.backend.shm import (
-    SharedArena,
-    SharedPairHandle,
-    ShmArrayHandle,
-    attach_pair,
-    blas_thread_cap,
-    share_pair,
 )
 from repro.backend.registry import (
     AUTO_BACKEND,
@@ -92,11 +80,6 @@ __all__ = [
     "available_executor_backends",
     "resolve_executor_backend",
     "get_executor_backend",
-    "SharedArena",
-    "SharedPairHandle",
-    "ShmArrayHandle",
-    "share_pair",
-    "attach_pair",
     "blas_thread_cap",
     "PRECISIONS",
     "PrecisionPolicy",

@@ -19,70 +19,39 @@ strategy per execution model:
     of taking the suite down.
 
 ``"process-pool"``
-    The PR-2 behaviour, extracted from ``repro.runner.executor``: a local
-    process pool, per-job timeouts enforced *inside* the worker with
+    A local process pool, per-job timeouts enforced *inside* the worker with
     ``SIGALRM``, plus worker-crash recovery — when a worker dies mid-job
     (``BrokenProcessPool``), every job left without a result is retried once
     in an isolated single-worker pool, so the actual crasher is identified
-    and marked failed while its innocent neighbours still complete.
-
-``"thread-pool"``
-    Jobs run on daemon worker threads in one process.  ``SIGALRM`` cannot
-    fire on worker threads (``signal.signal`` is main-thread-only), so the
-    timeout strategy moves *outside* the job: the coordinator tracks each
-    job's start time and synthesises a timeout result through ``on_timeout``
-    once the budget lapses; the abandoned thread keeps running but its late
-    result is discarded, and — because the workers are daemons — it can
-    never block interpreter exit.  This is the right backend on platforms
-    without ``SIGALRM`` and for GIL-releasing numpy jobs (BLAS GEMMs), which
-    contend with each other under the process pool but overlap cleanly on
-    threads without any fork or pickling cost.
-
-``"process-pool-shm"``
-    The process pool plus the zero-copy substrate of
-    :mod:`repro.backend.shm`: each worker is warmed by an ``initializer``
-    that caps BLAS/OpenMP threads to the fair share
-    ``max(1, cpus // workers)`` and installs a per-worker dataset cache,
-    and callers that stage job payloads in a :class:`~repro.backend.shm.
-    SharedArena` (the suite runner does — graph CSR arrays ship as
-    shared-memory handles, attached rather than copied) skip the per-job
-    pickle + dataset reload entirely.  Scheduling, crash recovery and
-    timeouts are inherited unchanged from ``process-pool``.  The same
-    governance is available on the plain pool via
-    ``ProcessPoolExecutorBackend(cap_blas_threads=True)``.
+    and marked failed while its innocent neighbours still complete.  Every
+    pool caps BLAS/OpenMP threads at the fair share
+    :func:`blas_thread_cap` of its worker count (see
+    :class:`ProcessPoolExecutorBackend` for how far that cap reaches).
 
 ``"auto"`` resolves through the registry's priority order to
 ``process-pool`` when the interpreter supports it (lazy availability
 probing — ``multiprocessing.synchronize`` importability), falling back to
-``thread-pool`` and then ``serial``; ``process-pool-shm`` is opt-in
-(selected by name) until a machine profile proves it the default.
+``serial``.
 
 The contract every job callable must honour: it is invoked as
 ``fn(*args, timeout=..., **kwargs)`` and should *return* its failure state
 rather than raise (the runner's :func:`repro.runner.executor.execute_job`
-already does).  Backends translate everything that escapes anyway — crashes,
-pool breakage, timeouts — into results built by the ``on_crash`` /
-``on_timeout`` callbacks, so one bad job can never kill a suite.
+already does), and it enforces its own ``timeout`` budget.  Backends
+translate everything that escapes anyway — crashes, pool breakage — into
+results built by the ``on_crash`` callback, so one bad job can never kill a
+suite.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import queue
-import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.backend.registry import AUTO_BACKEND, BackendRegistry, get_registry
-from repro.backend.shm import (
-    BLAS_ENV_VARS,
-    blas_thread_cap,
-    shm_worker_init,
-)
 
 #: Registry kind for job-execution backends.
 EXECUTOR_KIND = "executor"
@@ -90,12 +59,46 @@ EXECUTOR_KIND = "executor"
 #: Registered backend names (the acceptance vocabulary).
 SERIAL = "serial"
 PROCESS_POOL = "process-pool"
-PROCESS_POOL_SHM = "process-pool-shm"
-THREAD_POOL = "thread-pool"
 
-#: How often (seconds) the thread-pool coordinator polls for completions
-#: and lapsed timeouts.
-_POLL_SECONDS = 0.05
+#: The env knobs every mainstream BLAS/OpenMP build reads when it loads.
+BLAS_ENV_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def blas_thread_cap(workers: int, cpus: Optional[int] = None) -> int:
+    """The fair per-worker BLAS thread budget: ``max(1, cpus // workers)``.
+
+    ``workers`` parallel jobs each spinning up a full-width BLAS threadpool
+    oversubscribes the box ``workers``-fold; the fair share keeps the
+    total thread count at the CPU count.
+    """
+    cpus = cpus if cpus is not None else (os.cpu_count() or 1)
+    return max(1, int(cpus) // max(1, int(workers)))
+
+
+def apply_blas_thread_cap(cap: int) -> None:
+    """Limit this process's BLAS/OpenMP threadpools to ``cap`` threads.
+
+    Sets the standard env knobs, which every BLAS library loaded from now
+    on honours, and additionally caps the already-loaded pools through
+    :mod:`threadpoolctl` when it is importable.
+    """
+    cap = max(1, int(cap))
+    for name in BLAS_ENV_VARS:
+        os.environ[name] = str(cap)
+    try:
+        import threadpoolctl
+    except ImportError:
+        return
+    try:
+        threadpoolctl.threadpool_limits(limits=cap)
+    except Exception:  # pragma: no cover - a failing initializer breaks the pool
+        pass
 
 
 @dataclass
@@ -106,7 +109,7 @@ class ExecutorJob:
     ----------
     key:
         Stable job identity (the runner uses its ``job_id``); results are
-        keyed by it and crash/timeout callbacks receive the job carrying it.
+        keyed by it and the crash callback receives the job carrying it.
     fn:
         The job callable, invoked as ``fn(*args, timeout=..., **kwargs)``.
         Must be a picklable module-level callable for ``process-pool``.
@@ -122,11 +125,9 @@ class ExecutorJob:
 
 #: Result hooks: ``on_result(key, result)`` streams completions (in
 #: completion order); ``on_crash(job, message)`` builds the payload for a
-#: job whose execution vehicle died; ``on_timeout(job)`` builds the payload
-#: for a job whose budget lapsed under an out-of-worker timeout strategy.
+#: job whose execution vehicle died.
 OnResult = Optional[Callable[[str, Dict[str, object]], None]]
 OnCrash = Optional[Callable[[ExecutorJob, str], Dict[str, object]]]
-OnTimeout = Optional[Callable[[ExecutorJob], Dict[str, object]]]
 
 
 def _default_crash(job: ExecutorJob, message: str) -> Dict[str, object]:
@@ -153,17 +154,8 @@ class ExecutorBackend:
         timeout: Optional[float] = None,
         on_result: OnResult = None,
         on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
     ) -> Dict[str, Dict[str, object]]:
         raise NotImplementedError
-
-    # Shared plumbing -------------------------------------------------
-    @staticmethod
-    def _hooks(on_crash: OnCrash, on_timeout: OnTimeout):
-        crash = on_crash if on_crash is not None else _default_crash
-        if on_timeout is not None:
-            return crash, on_timeout
-        return crash, lambda job: crash(job, "job exceeded its wall-clock budget")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -187,9 +179,8 @@ class SerialExecutor(ExecutorBackend):
         timeout: Optional[float] = None,
         on_result: OnResult = None,
         on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
     ) -> Dict[str, Dict[str, object]]:
-        crash, _ = self._hooks(on_crash, on_timeout)
+        crash = on_crash if on_crash is not None else _default_crash
         results: Dict[str, Dict[str, object]] = {}
         for job in jobs:
             try:
@@ -208,74 +199,29 @@ class SerialExecutor(ExecutorBackend):
         return results
 
 
-class ThreadPoolExecutorBackend(ExecutorBackend):
-    """Daemon-thread execution with an out-of-worker timeout strategy.
+@contextlib.contextmanager
+def _exported_blas_cap(cap: int):
+    """Export ``cap`` through :data:`BLAS_ENV_VARS` while a pool starts workers.
 
-    ``SIGALRM`` cannot be armed on worker threads, so jobs receive
-    ``timeout=None`` and the coordinator enforces the budget: once a job's
-    wall clock lapses, ``on_timeout`` synthesises its result and the worker
-    thread is abandoned (daemon — it cannot block interpreter exit; a late
-    result from it is discarded).  Each abandoned worker's slot is released,
-    so a stuck job costs one thread, not the suite's concurrency.
+    A ``spawn`` worker imports numpy (and loads its BLAS) before the pool
+    initializer runs, so only the inherited environment reaches it.  The
+    parent's own values are restored afterwards.
     """
-
-    name = THREAD_POOL
-
-    def submit_jobs(
-        self,
-        jobs,
-        *,
-        workers: int = 1,
-        timeout: Optional[float] = None,
-        on_result: OnResult = None,
-        on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
-    ) -> Dict[str, Dict[str, object]]:
-        crash, lapsed = self._hooks(on_crash, on_timeout)
-        workers = max(1, int(workers))
-        results: Dict[str, Dict[str, object]] = {}
-        done: "queue.Queue[Tuple[str, Dict[str, object]]]" = queue.Queue()
-        pending: List[ExecutorJob] = list(jobs)
-        active: Dict[str, Tuple[ExecutorJob, float]] = {}
-
-        def _worker(job: ExecutorJob) -> None:
-            try:
-                result = job.fn(*job.args, timeout=None, **job.kwargs)
-            except BaseException as error:  # noqa: BLE001 - crash becomes a result
-                result = crash(
-                    job, f"job crashed in-process: {type(error).__name__}: {error}"
-                )
-            done.put((job.key, result))
-
-        def _emit(key: str, result: Dict[str, object]) -> None:
-            results[key] = result
-            if on_result is not None:
-                on_result(key, result)
-
-        while pending or active:
-            while pending and len(active) < workers:
-                job = pending.pop(0)
-                active[job.key] = (job, time.monotonic())
-                threading.Thread(target=_worker, args=(job,), daemon=True).start()
-            try:
-                key, result = done.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                pass
+    saved = {name: os.environ.get(name) for name in BLAS_ENV_VARS}
+    for name in BLAS_ENV_VARS:
+        os.environ[name] = str(cap)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
             else:
-                if key in active:  # not already timed out
-                    del active[key]
-                    _emit(key, result)
-            if timeout is not None:
-                now = time.monotonic()
-                for key, (job, started) in list(active.items()):
-                    if now - started > timeout:
-                        del active[key]  # abandon the runaway daemon thread
-                        _emit(key, lapsed(job))
-        return results
+                os.environ[name] = value
 
 
 class ProcessPoolExecutorBackend(ExecutorBackend):
-    """The PR-2 process pool, with worker-crash isolation and recovery.
+    """A local process pool, with worker-crash isolation and recovery.
 
     Timeouts are enforced *inside* each worker (``SIGALRM`` via the job
     function's ``timeout`` argument), so a job stuck in Python code becomes
@@ -285,53 +231,21 @@ class ProcessPoolExecutorBackend(ExecutorBackend):
     isolated single-worker pool: the crasher reproducibly kills its solo
     pool and is marked failed through ``on_crash``; every other job
     completes normally.
+
+    Every pool caps BLAS/OpenMP threads at ``blas_thread_cap(workers)``, so
+    N workers never stack N full-width BLAS pools on one box.  The cap is
+    exported through :data:`BLAS_ENV_VARS` while the pool starts its
+    workers and set again by each worker's initializer
+    (:func:`apply_blas_thread_cap`).  Its reach is limited: a BLAS library
+    reads those variables once, when it is loaded.  Under the ``fork``
+    start method (the Linux default) numpy's OpenBLAS is already loaded in
+    the parent, so a worker's numpy keeps the parent's thread count unless
+    :mod:`threadpoolctl` is installed to cap it at run time.  The cap does
+    reach every BLAS first loaded inside the worker (``scipy.linalg``'s,
+    when the parent has not imported it) and, under ``spawn``, numpy's too.
     """
 
     name = PROCESS_POOL
-
-    def __init__(self, *, cap_blas_threads: bool = False) -> None:
-        #: Opt-in BLAS thread governance on the plain pool: workers are
-        #: initialised with a ``max(1, cpus // workers)`` threadpool cap
-        #: so N workers never stack N full-width BLAS pools on one box.
-        self.cap_blas_threads = bool(cap_blas_threads)
-
-    # Pool construction is a hook so the shm backend can warm its workers
-    # (BLAS cap + per-worker dataset cache) without duplicating the
-    # scheduling / crash-recovery machinery below.
-    def _make_pool(self, max_workers: int, total_workers: int) -> ProcessPoolExecutor:
-        if self.cap_blas_threads:
-            cap = blas_thread_cap(total_workers)
-            return ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=shm_worker_init,
-                initargs=(cap,),
-            )
-        return ProcessPoolExecutor(max_workers=max_workers)
-
-    @contextlib.contextmanager
-    def _pool_env(self, total_workers: int):
-        """Export the BLAS cap to the environment while the pool may spawn.
-
-        Spawned workers read these knobs before their BLAS loads — earlier
-        than the initializer can run; forked workers are covered by
-        :func:`~repro.backend.shm.shm_worker_init` instead (threadpoolctl
-        when importable).  The parent's values are restored afterwards.
-        """
-        if not self.cap_blas_threads:
-            yield
-            return
-        cap = str(blas_thread_cap(total_workers))
-        saved = {name: os.environ.get(name) for name in BLAS_ENV_VARS}
-        for name in BLAS_ENV_VARS:
-            os.environ[name] = cap
-        try:
-            yield
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
 
     def submit_jobs(
         self,
@@ -341,29 +255,8 @@ class ProcessPoolExecutorBackend(ExecutorBackend):
         timeout: Optional[float] = None,
         on_result: OnResult = None,
         on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
     ) -> Dict[str, Dict[str, object]]:
-        with self._pool_env(max(1, int(workers) if workers else 1)):
-            return self._submit_jobs_governed(
-                jobs,
-                workers=workers,
-                timeout=timeout,
-                on_result=on_result,
-                on_crash=on_crash,
-                on_timeout=on_timeout,
-            )
-
-    def _submit_jobs_governed(
-        self,
-        jobs,
-        *,
-        workers: int = 1,
-        timeout: Optional[float] = None,
-        on_result: OnResult = None,
-        on_crash: OnCrash = None,
-        on_timeout: OnTimeout = None,
-    ) -> Dict[str, Dict[str, object]]:
-        crash, _ = self._hooks(on_crash, on_timeout)
+        crash = on_crash if on_crash is not None else _default_crash
         jobs = list(jobs)
         by_key = {job.key: job for job in jobs}
         results: Dict[str, Dict[str, object]] = {}
@@ -375,92 +268,71 @@ class ProcessPoolExecutorBackend(ExecutorBackend):
 
         requested_workers = max(1, int(workers) if workers else 1)
         max_workers = min(requested_workers, len(jobs) or 1)
+        cap = blas_thread_cap(requested_workers)
+
+        def _pool(size: int) -> ProcessPoolExecutor:
+            # Solo retry pools keep the cap sized for the full worker count.
+            return ProcessPoolExecutor(
+                max_workers=size, initializer=apply_blas_thread_cap, initargs=(cap,)
+            )
+
         broken = False
-        try:
-            with self._make_pool(max_workers, requested_workers) as pool:
-                futures = {
-                    pool.submit(
-                        job.fn, *job.args, timeout=timeout, **job.kwargs
-                    ): job.key
-                    for job in jobs
-                }
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        key = futures[future]
-                        try:
-                            _emit(key, future.result())
-                        except BrokenProcessPool:
-                            # A worker died; which job killed it is not
-                            # attributable here — every unresolved job goes
-                            # through the isolation pass below.
-                            broken = True
-                        except Exception as error:  # pickling/submission faults
-                            _emit(
-                                key,
-                                crash(
-                                    by_key[key],
-                                    f"worker failed: {type(error).__name__}: {error}",
-                                ),
-                            )
-        except BrokenProcessPool:  # pragma: no cover - raced pool teardown
-            broken = True
-        if not broken and len(results) == len(jobs):
-            return results
-
-        # Isolation pass: one fresh single-worker pool per unresolved job.
-        # The crasher kills only its own pool and gets a failure result;
-        # innocent neighbours (whose futures merely shared the broken pool)
-        # re-run and complete.
-        for job in jobs:
-            if job.key in results:
-                continue
+        with _exported_blas_cap(cap):
             try:
-                # The solo pool keeps the main pool's worker warm-up (BLAS
-                # cap sized for the original worker count, dataset cache),
-                # and shared segments are still live: only the coordinating
-                # arena unlinks, after submit_jobs returns.
-                with self._make_pool(1, requested_workers) as solo:
-                    result = solo.submit(
-                        job.fn, *job.args, timeout=timeout, **job.kwargs
-                    ).result()
-            except Exception as error:  # noqa: BLE001 - crash becomes a result
-                result = crash(
-                    job,
-                    "worker crashed (process died mid-job): "
-                    f"{type(error).__name__}: {error}",
-                )
-            _emit(job.key, result)
+                with _pool(max_workers) as pool:
+                    futures = {
+                        pool.submit(
+                            job.fn, *job.args, timeout=timeout, **job.kwargs
+                        ): job.key
+                        for job in jobs
+                    }
+                    remaining = set(futures)
+                    while remaining:
+                        finished, remaining = wait(
+                            remaining, return_when=FIRST_COMPLETED
+                        )
+                        for future in finished:
+                            key = futures[future]
+                            try:
+                                _emit(key, future.result())
+                            except BrokenProcessPool:
+                                # A worker died; which job killed it is not
+                                # attributable here — every unresolved job
+                                # goes through the isolation pass below.
+                                broken = True
+                            except Exception as error:  # pickling/submission faults
+                                _emit(
+                                    key,
+                                    crash(
+                                        by_key[key],
+                                        f"worker failed: {type(error).__name__}: {error}",
+                                    ),
+                                )
+            except BrokenProcessPool:  # pragma: no cover - raced pool teardown
+                broken = True
+            if not broken and len(results) == len(jobs):
+                return results
+
+            # Isolation pass: one fresh single-worker pool per unresolved
+            # job.  The crasher kills only its own pool and gets a failure
+            # result; innocent neighbours (whose futures merely shared the
+            # broken pool) re-run and complete.
+            for job in jobs:
+                if job.key in results:
+                    continue
+                try:
+                    with _pool(1) as solo:
+                        result = solo.submit(
+                            job.fn, *job.args, timeout=timeout, **job.kwargs
+                        ).result()
+                except Exception as error:  # noqa: BLE001 - crash becomes a result
+                    result = crash(
+                        job,
+                        "worker crashed (process died mid-job): "
+                        f"{type(error).__name__}: {error}",
+                    )
+                _emit(job.key, result)
         return results
-
-
-class SharedMemoryProcessPoolExecutorBackend(ProcessPoolExecutorBackend):
-    """The warm zero-copy process pool (``"process-pool-shm"``).
-
-    Identical scheduling, timeout and crash-recovery behaviour to
-    ``process-pool`` — same base class, same isolation retries — with the
-    per-job overhead removed:
-
-    * every worker runs :func:`repro.backend.shm.shm_worker_init` once at
-      start-up, capping its BLAS/OpenMP threadpool to the fair share
-      ``max(1, cpus // workers)`` and installing the per-worker dataset
-      cache;
-    * callers that stage datasets in a :class:`~repro.backend.shm.
-      SharedArena` (``run_suite`` does) pass shared-memory handles in the
-      job kwargs, so workers attach graph CSR arrays read-only instead of
-      unpickling copies, and each dataset is materialised once per worker
-      instead of once per job.
-
-    ``supports_shared_datasets`` is the capability flag coordinators key
-    on to decide whether staging is worth the parent-side load.
-    """
-
-    name = PROCESS_POOL_SHM
-    supports_shared_datasets = True
-
-    def __init__(self) -> None:
-        super().__init__(cap_blas_threads=True)
 
 
 def _process_pool_available() -> bool:
@@ -482,23 +354,11 @@ def executor_registry() -> BackendRegistry:
     registry = get_registry(EXECUTOR_KIND)
     if SERIAL not in registry.names():
         registry.register(SERIAL, SerialExecutor(), priority=0)
-    if THREAD_POOL not in registry.names():
-        registry.register(THREAD_POOL, ThreadPoolExecutorBackend(), priority=5)
     if PROCESS_POOL not in registry.names():
         registry.register(
             PROCESS_POOL,
             ProcessPoolExecutorBackend(),
             priority=10,
-            available=_process_pool_available,
-        )
-    if PROCESS_POOL_SHM not in registry.names():
-        # Below process-pool: "auto" keeps resolving to the plain pool;
-        # the zero-copy pool is selected by name (CLI --executor,
-        # SuiteSpec.executor_backend, HTCConfig.executor_backend).
-        registry.register(
-            PROCESS_POOL_SHM,
-            SharedMemoryProcessPoolExecutorBackend(),
-            priority=8,
             available=_process_pool_available,
         )
     return registry
@@ -530,14 +390,13 @@ __all__ = [
     "EXECUTOR_KIND",
     "SERIAL",
     "PROCESS_POOL",
-    "PROCESS_POOL_SHM",
-    "THREAD_POOL",
+    "BLAS_ENV_VARS",
     "ExecutorJob",
     "ExecutorBackend",
     "SerialExecutor",
-    "ThreadPoolExecutorBackend",
     "ProcessPoolExecutorBackend",
-    "SharedMemoryProcessPoolExecutorBackend",
+    "apply_blas_thread_cap",
+    "blas_thread_cap",
     "executor_registry",
     "available_executor_backends",
     "resolve_executor_backend",

@@ -62,7 +62,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional, Sequence
 
 from repro.backend import (
@@ -377,13 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the artifact integrity (hash) check on load",
     )
-    query.add_argument(
-        "--format",
-        choices=("json", "legacy"),
-        default="json",
-        help="json: the versioned payload the HTTP API returns (default); "
-        "legacy: the deprecated pre-API '<node>: <ids>' lines",
-    )
 
     serve = subparsers.add_parser(
         "serve",
@@ -578,17 +570,6 @@ def _cmd_run_suite(args: argparse.Namespace) -> int:
         f"[{report.executor} executor]"
     )
     print(f"[manifest written to {report.manifest_path}]")
-    detail = report.executor_detail
-    if detail:
-        cache = detail.get("dataset_cache") or {}
-        print(
-            f"[shm: BLAS cap {detail.get('blas_thread_cap')} "
-            f"thread(s)/worker via {detail.get('blas_cap_method')}, "
-            f"{detail.get('datasets_staged')} dataset(s) staged "
-            f"({detail.get('shared_bytes', 0)} bytes); worker cache: "
-            f"{cache.get('hits', 0)} hit(s), {cache.get('attaches', 0)} "
-            f"attach(es), {cache.get('worker_loads', 0)} load(s)]"
-        )
     if args.emit_artifacts:
         emitted = [
             a["serve_artifact"]["artifact_id"]
@@ -651,23 +632,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     # The one shared entry point: the CLI is a thin client of service.query,
     # printing exactly what the HTTP layer would have returned.
     response = service.query(make_query_request(artifact_id, op, args.nodes, k))
-    if args.format == "json":
-        print(json.dumps(response_payload(response), indent=2))
-    else:
-        warnings.warn(
-            "query --format legacy is deprecated and will be removed in the "
-            "next minor release; use the default --format json, which emits "
-            "the same versioned payload as the HTTP API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        results = response.results
-        if op in TOP_K_OPS:
-            for node, row in zip(args.nodes, results):
-                print(f"{node}: {' '.join(str(int(x)) for x in row)}")
-        else:
-            for node, match in zip(args.nodes, results):
-                print(f"{node}: {int(match)}")
+    print(json.dumps(response_payload(response), indent=2))
     stats = service.stats()
     print(
         f"[{stats['queries']} queries in {1000 * stats['total_latency_s']:.2f} ms]",

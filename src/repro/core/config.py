@@ -134,9 +134,9 @@ class HTCConfig:
     executor_backend:
         Job-execution strategy for sharded alignment (and any suite this
         config rides in): ``"auto"`` (default), or a name registered under
-        the shared ``"executor"`` kind — ``"serial"``, ``"process-pool"``,
-        ``"thread-pool"`` (:mod:`repro.backend.executor`).  Execution-only:
-        it never changes results, job spec hashes, or resume artifacts.
+        the shared ``"executor"`` kind — ``"serial"`` or ``"process-pool"``
+        (:mod:`repro.backend.executor`).  Execution-only: it never changes
+        results, job spec hashes, or resume artifacts.
     diffusion_orders, diffusion_alpha:
         Settings of the diffusion family used when ``topology_mode ==
         "diffusion"``.

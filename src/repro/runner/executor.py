@@ -2,10 +2,8 @@
 
 ``run_suite`` expands a :class:`~repro.runner.spec.SuiteSpec` into jobs and
 submits them through an :class:`repro.backend.executor.ExecutorBackend` —
-``serial`` (inline, deterministic), ``process-pool`` (the historical local
-pool), ``thread-pool`` (daemon threads, external timeout enforcement) or
-``process-pool-shm`` (warm workers attaching datasets zero-copy from a
-shared-memory arena, BLAS threads capped per worker) — selected via
+``serial`` (inline, deterministic) or ``process-pool`` (a local pool with
+BLAS threads capped per worker) — selected via
 ``SuiteSpec.executor_backend``, the ``executor`` argument or ``"auto"``
 resolution.  Parallel backends receive their jobs longest-expected-first:
 per-job ``wall_seconds`` from a prior manifest of the same suite feed a
@@ -20,14 +18,11 @@ re-runs exactly the affected jobs.  The executor choice never enters the
 job specs, so spec hashes (and therefore ``--resume`` and artifact
 identity) are invariant across backends.
 
-Under ``serial`` and ``process-pool``, per-job timeouts are enforced
-*inside* the job with ``SIGALRM`` (Unix), so a job stuck in Python code
-turns into a ``timeout`` artifact instead of wedging the pool.  Caveat: the
-alarm is delivered between bytecodes, so a job blocked inside one long
-native call (a huge BLAS GEMM, a scipy solver) is only interrupted when
-that call returns.  Under ``thread-pool`` the budget is enforced outside
-the job (``SIGALRM`` is main-thread-only), which also covers platforms
-without ``SIGALRM``.
+Under both executors, per-job timeouts are enforced *inside* the job with
+``SIGALRM`` (Unix), so a job stuck in Python code turns into a ``timeout``
+artifact instead of wedging the pool.  Caveat: the alarm is delivered
+between bytecodes, so a job blocked inside one long native call (a huge
+BLAS GEMM, a scipy solver) is only interrupted when that call returns.
 """
 
 from __future__ import annotations
@@ -48,14 +43,6 @@ from repro.backend.executor import (
     resolve_executor_backend,
 )
 from repro.backend.registry import AUTO_BACKEND
-from repro.backend.shm import (
-    SharedArena,
-    SharedPairHandle,
-    blas_thread_cap,
-    cached_attach_pair,
-    share_pair,
-    worker_state,
-)
 from repro.runner.spec import JobSpec, SuiteSpec
 from repro.utils.logging import get_logger
 
@@ -117,7 +104,6 @@ def execute_job(
     timeout: Optional[float] = None,
     method_resolver: Optional[Callable[[str, object], object]] = None,
     emit_artifacts_dir: Optional[str] = None,
-    dataset_shm: Optional[SharedPairHandle] = None,
 ) -> Dict[str, object]:
     """Run one job to completion and return its artifact payload.
 
@@ -129,14 +115,6 @@ def execute_job(
     run's raw ``align`` output) is additionally persisted as a serve
     artifact under that directory (see :mod:`repro.serve.artifacts`); the
     job payload then records its ``serve_artifact`` id and path.
-
-    With ``dataset_shm`` set (the ``process-pool-shm`` executor), the
-    dataset is *attached* from the coordinator's shared-memory arena
-    through the per-worker cache instead of being re-loaded — zero-copy
-    read-only CSR views, one materialisation per dataset per worker.  The
-    transport is recorded under the artifact's transient
-    ``_executor_detail`` key, which the coordinator pops into the suite
-    manifest — job artifacts on disk stay byte-identical across executors.
 
     When span tracing is on (``REPRO_TRACE=1`` /
     :func:`repro.obs.enable_tracing`), the job's per-phase spans
@@ -170,7 +148,6 @@ def execute_job(
         previous_handler = signal.signal(signal.SIGALRM, _alarm_handler)
         signal.setitimer(signal.ITIMER_REAL, float(timeout))
     obs_registry = MetricsRegistry(job.job_id) if tracing_enabled() else None
-    transport: Optional[str] = None
     started = time.perf_counter()
     try:
         with span("runner.job", obs_registry):
@@ -182,11 +159,7 @@ def execute_job(
             )
             method = resolver(job.method, config)
             with span("load_dataset", obs_registry):
-                if dataset_shm is not None:
-                    pair, transport = cached_attach_pair(dataset_shm)
-                else:
-                    pair = load_dataset(job.dataset, **dict(job.dataset_params))
-                    transport = "load"
+                pair = load_dataset(job.dataset, **dict(job.dataset_params))
             last_alignment: List[object] = []
             on_result = last_alignment.append if emit_artifacts_dir else None
             with span("align", obs_registry):
@@ -220,16 +193,6 @@ def execute_job(
     artifact["wall_seconds"] = time.perf_counter() - started
     if obs_registry is not None and len(obs_registry):
         artifact["observability"] = obs_registry.snapshot()
-    state = worker_state()
-    if dataset_shm is not None or state.blas_thread_cap is not None:
-        # Transient coordination metadata: popped (never written to disk)
-        # by run_suite and aggregated into manifest["executor_detail"], so
-        # job artifacts and spec hashes stay executor-invariant.
-        artifact["_executor_detail"] = {
-            "dataset_transport": transport,
-            "blas_thread_cap": state.blas_thread_cap,
-            "blas_cap_method": state.blas_cap_method,
-        }
     return artifact
 
 
@@ -380,10 +343,6 @@ class SuiteRunReport:
     jobs_requested: int = 0
     workers: int = 1
     executor: str = SERIAL
-    #: Execution-layer telemetry (BLAS caps, dataset-cache hit counts) when
-    #: the executor reports any; mirrored in ``manifest["executor_detail"]``
-    #: — always outside the job specs, so spec hashes stay invariant.
-    executor_detail: Optional[Dict[str, object]] = None
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -428,8 +387,8 @@ def run_suite(
         Root artifact directory; this run writes under
         ``<output_dir>/<suite.name>/``.
     jobs:
-        Worker slots (processes or threads, per the executor backend).
-        ``1`` runs inline under ``"auto"``; ``<= 0`` uses the CPU count.
+        Worker processes for the ``process-pool`` executor.  ``1`` runs
+        inline under ``"auto"``; ``<= 0`` uses the CPU count.
     resume:
         Skip jobs whose artifact exists, matches the current spec hash, and
         completed successfully.
@@ -448,12 +407,11 @@ def run_suite(
         CLI subcommand).
     executor:
         Executor backend name (``"serial"`` / ``"process-pool"`` /
-        ``"thread-pool"`` / ``"auto"``); overrides
-        ``suite.executor_backend`` when given.  Under ``"auto"``, a run
-        with one worker or at most one pending job resolves to ``serial``
-        (the historical inline path — also what keeps non-picklable
-        ``method_resolver`` callables working), anything larger to the
-        registry default.  The choice is recorded in the manifest but never
+        ``"auto"``); overrides ``suite.executor_backend`` when given.
+        Under ``"auto"``, a run with one worker or at most one pending job
+        resolves to ``serial`` (the historical inline path — also what
+        keeps non-picklable ``method_resolver`` callables working),
+        anything larger to the registry default.  The choice is recorded in the manifest but never
         in the job specs, so spec hashes match across executors.
     """
     if jobs <= 0:
@@ -497,22 +455,7 @@ def run_suite(
         else:
             pending.append(job)
 
-    # Execution-layer telemetry accumulated across job artifacts.  The
-    # per-job ``_executor_detail`` key is transient: popped here before the
-    # artifact hits disk, so job JSONs stay byte-identical across executors.
-    transport_counts: Dict[str, int] = {}
-    observed_caps: set = set()
-    observed_cap_methods: set = set()
-
     def _record(artifact: Dict[str, object]) -> None:
-        detail = artifact.pop("_executor_detail", None)
-        if isinstance(detail, dict):
-            transport = str(detail.get("dataset_transport"))
-            transport_counts[transport] = transport_counts.get(transport, 0) + 1
-            if detail.get("blas_thread_cap") is not None:
-                observed_caps.add(int(detail["blas_thread_cap"]))
-            if detail.get("blas_cap_method"):
-                observed_cap_methods.add(str(detail["blas_cap_method"]))
         artifact_path = jobs_dir / f"{artifact['job_id']}.json"
         _write_json(artifact_path, artifact)
         artifacts.append(artifact)
@@ -536,15 +479,16 @@ def run_suite(
 
     by_key = {job.job_id: job for job in pending}
 
-    def _skeleton(job: JobSpec, status: str, error: str) -> Dict[str, object]:
+    def _crashed(exec_job: ExecutorJob, message: str) -> Dict[str, object]:
+        job = by_key[exec_job.key]
         return {
             "job_id": job.job_id,
             "spec": job.to_dict(),
             "spec_hash": job.hash,
             "repro_version": __version__,
-            "status": status,
+            "status": STATUS_FAILED,
             "result": None,
-            "error": error,
+            "error": f"worker crashed: {message}",
             "wall_seconds": 0.0,
         }
 
@@ -557,72 +501,24 @@ def run_suite(
             pending, _prior_wall_seconds(suite_dir / "manifest.json")
         )
 
-    # Zero-copy dataset staging: for executors that advertise
-    # ``supports_shared_datasets``, the coordinator loads each unique
-    # (dataset, params) cell once into a shared-memory arena and ships
-    # handles instead of pickled CSR buffers.  A dataset that fails to
-    # stage (exotic dtypes, load error) falls back to in-worker loading
-    # for just its jobs.  ``finally: arena.destroy()`` guarantees the
-    # segments are unlinked even on KeyboardInterrupt or a pool crash.
-    arena: Optional[SharedArena] = None
-    shm_handles: Dict[tuple, Optional[SharedPairHandle]] = {}
-    shared_bytes = 0
-    supports_shm = bool(getattr(backend, "supports_shared_datasets", False))
-    if supports_shm and pending:
-        from repro.datasets import load_dataset
-
-        arena = SharedArena()
-        for job in submission:
-            dataset_key = (job.dataset, job.dataset_params)
-            if dataset_key in shm_handles:
-                continue
-            try:
-                staged = load_dataset(job.dataset, **dict(job.dataset_params))
-                shm_handles[dataset_key] = share_pair(arena, staged)
-            except Exception as error:  # noqa: BLE001 - staging is best-effort
-                logger.warning(
-                    "dataset %s%s not stageable to shared memory (%s: %s); "
-                    "its jobs will load it in-worker",
-                    job.dataset,
-                    dict(job.dataset_params) or "",
-                    type(error).__name__,
-                    error,
-                )
-                shm_handles[dataset_key] = None
-        shared_bytes = arena.nbytes
-
-    try:
-        backend.submit_jobs(
-            [
-                ExecutorJob(
-                    key=job.job_id,
-                    fn=execute_job,
-                    args=(job.to_dict(),),
-                    kwargs={
-                        "method_resolver": method_resolver,
-                        "emit_artifacts_dir": serve_dir,
-                        "dataset_shm": shm_handles.get(
-                            (job.dataset, job.dataset_params)
-                        ),
-                    },
-                )
-                for job in submission
-            ],
-            workers=jobs,
-            timeout=timeout,
-            on_result=lambda key, artifact: _record(artifact),
-            on_crash=lambda exec_job, message: _skeleton(
-                by_key[exec_job.key], STATUS_FAILED, f"worker crashed: {message}"
-            ),
-            on_timeout=lambda exec_job: _skeleton(
-                by_key[exec_job.key],
-                STATUS_TIMEOUT,
-                f"job exceeded the {timeout}s wall-clock budget",
-            ),
-        )
-    finally:
-        if arena is not None:
-            arena.destroy()
+    backend.submit_jobs(
+        [
+            ExecutorJob(
+                key=job.job_id,
+                fn=execute_job,
+                args=(job.to_dict(),),
+                kwargs={
+                    "method_resolver": method_resolver,
+                    "emit_artifacts_dir": serve_dir,
+                },
+            )
+            for job in submission
+        ],
+        workers=jobs,
+        timeout=timeout,
+        on_result=lambda key, artifact: _record(artifact),
+        on_crash=_crashed,
+    )
 
     wall_clock = time.perf_counter() - started
     # Keep manifest rows in the suite's deterministic job order.
@@ -654,32 +550,6 @@ def run_suite(
             for a in ordered
         ],
     }
-    # Execution-layer telemetry: manifest-level only (jobs above carry no
-    # trace of it), so spec hashes and job artifacts stay
-    # executor-invariant and --resume keeps working across backends.
-    executor_detail: Optional[Dict[str, object]] = None
-    if supports_shm:
-        executor_detail = {
-            "executor": resolved_executor,
-            "workers": jobs,
-            "cpus": os.cpu_count() or 1,
-            "blas_thread_cap": blas_thread_cap(jobs),
-            "blas_cap_method": (
-                sorted(observed_cap_methods)[0] if observed_cap_methods else None
-            ),
-            "datasets_staged": sum(
-                1 for handle in shm_handles.values() if handle is not None
-            ),
-            "shared_bytes": shared_bytes,
-            "dataset_cache": {
-                "hits": transport_counts.get("hit", 0),
-                "attaches": transport_counts.get("attach", 0),
-                "worker_loads": transport_counts.get("load", 0),
-            },
-        }
-        if observed_caps:
-            executor_detail["observed_blas_caps"] = sorted(observed_caps)
-        manifest["executor_detail"] = executor_detail
     # Cross-process span aggregation: jobs traced in worker processes ship
     # their registry snapshots home in the artifact payload; merging them is
     # exact because every histogram shares one bucket scheme.  The key is
@@ -708,7 +578,6 @@ def run_suite(
         jobs_requested=len(job_specs),
         workers=jobs,
         executor=resolved_executor,
-        executor_detail=executor_detail,
     )
 
 

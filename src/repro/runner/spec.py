@@ -141,8 +141,8 @@ class SuiteSpec:
         Per-job wall-clock limit in seconds (``None`` = unlimited).
     executor_backend:
         Job-execution strategy for the whole suite (a name registered
-        under the ``"executor"`` kind — ``serial`` / ``process-pool`` /
-        ``thread-pool`` — or ``"auto"``).  Deliberately *not* part of any
+        under the ``"executor"`` kind — ``serial`` / ``process-pool`` —
+        or ``"auto"``).  Deliberately *not* part of any
         :class:`JobSpec`: the executor changes how jobs run, never what
         they compute, so spec hashes and ``--resume`` artifacts stay valid
         when switching backends.

@@ -383,7 +383,7 @@ class TestBackendsEndpoint:
             if available:
                 assert entry["auto"] in available
         # The concrete expectations of this environment: numpy orbits and
-        # compute are available; auto never picks the opt-in sparse backend.
+        # compute are available.
         orbit_names = {b["name"]: b for b in kinds["orbit"]["backends"]}
         assert {"python", "numpy", "numba"} <= set(orbit_names)
         assert kinds["compute"]["auto"] == "numpy"

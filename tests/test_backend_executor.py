@@ -1,20 +1,20 @@
 """Tests for the ``"executor"`` backend layer (``repro.backend.executor``)."""
 
 import os
-import time
 
 import pytest
 
 from repro.backend.executor import (
+    BLAS_ENV_VARS,
     PROCESS_POOL,
     SERIAL,
-    THREAD_POOL,
     ExecutorBackend,
     ExecutorJob,
     ProcessPoolExecutorBackend,
     SerialExecutor,
-    ThreadPoolExecutorBackend,
+    apply_blas_thread_cap,
     available_executor_backends,
+    blas_thread_cap,
     executor_registry,
     get_executor_backend,
     resolve_executor_backend,
@@ -39,9 +39,9 @@ def _system_exit_job(key, timeout=None):
     raise SystemExit(13)
 
 
-def _slow_job(key, timeout=None):
-    time.sleep(10.0)
-    return {"key": key, "status": "done"}
+def _blas_env_job(key, timeout=None):
+    openblas = os.environ.get("OPENBLAS_NUM_THREADS")
+    return {"key": key, "status": "done", "openblas": openblas}
 
 
 def _jobs(fn_by_key):
@@ -49,14 +49,13 @@ def _jobs(fn_by_key):
 
 
 class TestRegistry:
-    def test_all_three_backends_registered(self):
-        names = executor_registry().names()
-        assert {SERIAL, PROCESS_POOL, THREAD_POOL} <= set(names)
+    def test_both_backends_registered(self):
+        assert set(executor_registry().names()) == {SERIAL, PROCESS_POOL}
 
-    def test_serial_and_thread_pool_always_available(self):
+    def test_serial_always_available(self):
         available = available_executor_backends()
         assert SERIAL in available
-        assert THREAD_POOL in available
+        assert set(available) <= {SERIAL, PROCESS_POOL}
 
     def test_auto_resolves_to_highest_priority_available(self):
         resolved = resolve_executor_backend(AUTO_BACKEND)
@@ -65,7 +64,7 @@ class TestRegistry:
             assert resolved == PROCESS_POOL
 
     def test_explicit_names_resolve_to_themselves(self):
-        for name in (SERIAL, THREAD_POOL):
+        for name in (SERIAL, PROCESS_POOL):
             assert resolve_executor_backend(name) == name
 
     def test_unknown_name_raises(self):
@@ -75,7 +74,7 @@ class TestRegistry:
     def test_get_returns_executor_backend_instances(self):
         assert isinstance(get_executor_backend(SERIAL), SerialExecutor)
         assert isinstance(
-            get_executor_backend(THREAD_POOL), ThreadPoolExecutorBackend
+            get_executor_backend(PROCESS_POOL), ProcessPoolExecutorBackend
         )
         assert isinstance(get_executor_backend(), ExecutorBackend)
 
@@ -129,45 +128,6 @@ class TestSerialExecutor:
         assert "RuntimeError: boom" in results["a"]["error"]
 
 
-class TestThreadPoolExecutor:
-    def test_completes_all_jobs_with_multiple_workers(self):
-        keys = [f"job{i}" for i in range(5)]
-        results = ThreadPoolExecutorBackend().submit_jobs(
-            _jobs([(key, _ok_job) for key in keys]), workers=3
-        )
-        assert sorted(results) == sorted(keys)
-        assert all(r["status"] == "done" for r in results.values())
-
-    def test_jobs_never_receive_a_sigalrm_timeout(self):
-        # SIGALRM is main-thread-only: the budget is enforced outside the
-        # job, which must see timeout=None.
-        results = ThreadPoolExecutorBackend().submit_jobs(
-            _jobs([("a", _ok_job)]), timeout=5.0
-        )
-        assert results["a"]["timeout_seen"] is None
-
-    def test_crash_becomes_a_result(self):
-        results = ThreadPoolExecutorBackend().submit_jobs(
-            _jobs([("a", _raise_job), ("b", _ok_job)]), workers=2
-        )
-        assert results["a"]["status"] == "failed"
-        assert results["b"]["status"] == "done"
-
-    def test_lapsed_budget_synthesises_a_timeout_result(self):
-        started = time.monotonic()
-        results = ThreadPoolExecutorBackend().submit_jobs(
-            _jobs([("slow", _slow_job), ("fast", _ok_job)]),
-            workers=2,
-            timeout=0.3,
-            on_timeout=lambda job: {"key": job.key, "status": "timeout"},
-        )
-        elapsed = time.monotonic() - started
-        assert results["slow"]["status"] == "timeout"
-        assert results["fast"]["status"] == "done"
-        # The runaway thread is abandoned, not joined.
-        assert elapsed < 5.0
-
-
 class TestProcessPoolExecutor:
     def test_completes_all_jobs(self):
         results = ProcessPoolExecutorBackend().submit_jobs(
@@ -195,3 +155,32 @@ class TestProcessPoolExecutor:
         assert "worker crashed" in results["killer"]["error"]
         assert results["a"]["status"] == "done"
         assert results["c"]["status"] == "done"
+
+    def test_worker_sees_the_derived_blas_cap(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "sentinel")
+        results = ProcessPoolExecutorBackend().submit_jobs(
+            _jobs([("a", _blas_env_job), ("b", _blas_env_job)]), workers=2
+        )
+        for result in results.values():
+            assert result["openblas"] == str(blas_thread_cap(2))
+        # The export is scoped to the pool: the parent keeps its own value.
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "sentinel"
+
+
+class TestBlasGovernance:
+    def test_fair_share_formula(self):
+        assert blas_thread_cap(4, cpus=8) == 2
+        assert blas_thread_cap(8, cpus=8) == 1
+        assert blas_thread_cap(3, cpus=8) == 2
+        # Never below one thread, however oversubscribed.
+        assert blas_thread_cap(16, cpus=4) == 1
+        assert blas_thread_cap(1, cpus=4) == 4
+        # Degenerate worker counts clamp instead of dividing by zero.
+        assert blas_thread_cap(0, cpus=4) == 4
+
+    def test_apply_cap_sets_every_env_knob(self, monkeypatch):
+        for name in BLAS_ENV_VARS:
+            monkeypatch.setenv(name, "sentinel")
+        apply_blas_thread_cap(3)
+        for name in BLAS_ENV_VARS:
+            assert os.environ[name] == "3"

@@ -36,19 +36,14 @@ RUNNER_PAYLOAD = {
         "all_done": True,
         "executors": {
             "serial": {"executor": "serial", "wall_s": 1.0},
-            "process-pool": {"executor": "process-pool", "wall_s": 1.5},
-            "thread-pool": {"executor": "thread-pool", "wall_s": 1.2},
-            "process-pool-shm": {
-                "executor": "process-pool-shm",
+            "process-pool": {
+                "executor": "process-pool",
                 "wall_s": 0.6,
+                "speedup_vs_serial": 1.7,
+                "bit_identical": True,
             },
         },
         "scheduler_overlap": {"executor": "process-pool", "speedup": 2.5},
-    },
-    "shm": {
-        "executor": "process-pool-shm",
-        "bit_identical": True,
-        "speedup_vs_serial": 1.7,
     },
     "kernel_memory": {
         "identical": True,
@@ -360,7 +355,7 @@ class TestGate:
         # committed baseline and must be skipped, not failed.
         fresh = json.loads(json.dumps(RUNNER_PAYLOAD))
         fresh["suite"]["scheduler_overlap"] = {
-            "executor": "thread-pool",
+            "executor": "serial",
             "speedup": 0.1,  # would fail the 0.5x rule if compared
         }
         _write(tmp_path / "baselines", "BENCH_runner.json", RUNNER_PAYLOAD)
@@ -402,18 +397,19 @@ class TestGate:
         )
 
     def test_single_cpu_fresh_run_skips_parallel_checks(self, tmp_path, capsys):
-        # A 1-cpu container cannot demonstrate parallel speedups: the shm
+        # A 1-cpu container cannot demonstrate parallel speedups: the pool
         # floor and every pooled relative check skip by name, with both
         # recorded cpu counts, instead of failing the gate.
         fresh = json.loads(json.dumps(RUNNER_PAYLOAD))
         fresh["cpus"] = 1
-        fresh["shm"]["speedup_vs_serial"] = 0.7  # below the 1.3 floor
-        fresh["suite"]["executors"]["process-pool"]["wall_s"] = 99.0
+        pool = fresh["suite"]["executors"]["process-pool"]
+        pool["speedup_vs_serial"] = 0.7  # below the 1.2 floor
+        pool["wall_s"] = 99.0
         assert self._run_runner(tmp_path, RUNNER_PAYLOAD, fresh) == 0
         out = capsys.readouterr().out
         assert (
-            "shm.speedup_vs_serial: parallel-speedup check needs >= 2 cpus"
-            in out
+            "suite.executors.process-pool.speedup_vs_serial: "
+            "parallel-speedup check needs >= 2 cpus" in out
         )
         assert "baseline recorded 4 cpu(s), fresh 1" in out
         assert (
@@ -425,25 +421,26 @@ class TestGate:
         self, tmp_path, capsys
     ):
         # The inverse: a baseline regenerated on a 1-cpu box cannot anchor
-        # relative parallel comparisons — but the shm speedup *floor* only
+        # relative parallel comparisons — but the pool speedup *floor* only
         # depends on the fresh run's cpus, so it still enforces.
         baseline = json.loads(json.dumps(RUNNER_PAYLOAD))
         baseline["cpus"] = 1
         fresh = json.loads(json.dumps(RUNNER_PAYLOAD))
-        fresh["suite"]["executors"]["thread-pool"]["wall_s"] = 99.0
+        fresh["suite"]["executors"]["process-pool"]["wall_s"] = 99.0
         assert self._run_runner(tmp_path, baseline, fresh) == 0
         out = capsys.readouterr().out
         assert "baseline recorded 1 cpu(s), fresh 4" in out
 
-    def test_multi_cpu_shm_floor_enforced(self, tmp_path):
+    def test_multi_cpu_pool_floor_enforced(self, tmp_path):
         fresh = json.loads(json.dumps(RUNNER_PAYLOAD))
-        fresh["shm"]["speedup_vs_serial"] = 1.1  # below the 1.3 floor
+        pool = fresh["suite"]["executors"]["process-pool"]
+        pool["speedup_vs_serial"] = 1.1  # below the 1.2 floor
         assert self._run_runner(tmp_path, RUNNER_PAYLOAD, fresh) == 1
 
-    def test_shm_bit_identical_enforced_regardless_of_cpus(self, tmp_path):
+    def test_pool_bit_identical_enforced_regardless_of_cpus(self, tmp_path):
         fresh = json.loads(json.dumps(RUNNER_PAYLOAD))
         fresh["cpus"] = 1
-        fresh["shm"]["bit_identical"] = False
+        fresh["suite"]["executors"]["process-pool"]["bit_identical"] = False
         assert self._run_runner(tmp_path, RUNNER_PAYLOAD, fresh) == 1
 
     def test_unrecorded_cpus_still_compares(self, tmp_path):
@@ -452,5 +449,5 @@ class TestGate:
         baseline = json.loads(json.dumps(RUNNER_PAYLOAD))
         del baseline["cpus"]
         fresh = json.loads(json.dumps(baseline))
-        fresh["shm"]["speedup_vs_serial"] = 1.1
+        fresh["suite"]["executors"]["process-pool"]["speedup_vs_serial"] = 1.1
         assert self._run_runner(tmp_path, baseline, fresh) == 1

@@ -158,34 +158,6 @@ class TestServeCommands:
         assert len(payload["results"]) == 2
         assert len(payload["results"][0]) == 3
 
-    def test_query_legacy_format(self, tmp_path, capsys):
-        artifact_id = self._export(tmp_path, capsys)
-        with pytest.warns(DeprecationWarning, match="--format legacy"):
-            code = main(
-                [
-                    "query",
-                    "--artifact-root",
-                    str(tmp_path / "arts"),
-                    "--artifact",
-                    artifact_id,
-                    "--op",
-                    "top-k",
-                    "--k",
-                    "3",
-                    "--nodes",
-                    "0",
-                    "1",
-                    "--format",
-                    "legacy",
-                ]
-            )
-        assert code == 0
-        output = capsys.readouterr().out
-        lines = [line for line in output.splitlines() if line.strip()]
-        assert len(lines) == 2
-        assert lines[0].startswith("0:")
-        assert len(lines[0].split(":")[1].split()) == 3
-
     def test_query_match_op(self, tmp_path, capsys):
         artifact_id = self._export(tmp_path, capsys)
         code = main(

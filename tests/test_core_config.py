@@ -98,7 +98,7 @@ class TestExecutorBackendField:
         assert HTCConfig().executor_backend == "auto"
 
     def test_explicit_backends_accepted(self):
-        for name in ("serial", "thread-pool"):
+        for name in ("serial", "process-pool"):
             assert HTCConfig(executor_backend=name).executor_backend == name
 
     def test_invalid_backend_rejected(self):

@@ -16,7 +16,11 @@ from repro.runner import (
     run_suite,
     to_method_results,
 )
-from repro.runner.executor import execute_job
+from repro.runner.executor import (
+    _prior_wall_seconds,
+    execute_job,
+    order_longest_first,
+)
 
 FAST_CONFIG = {"epochs": 3, "embedding_dim": 8, "orbit_cache": "off"}
 
@@ -69,9 +73,9 @@ def _system_exit_resolver(name, config):
     """The in-process analogue of :func:`_hard_exit_resolver`.
 
     ``SystemExit`` is the closest interceptable stand-in for a dying
-    worker under the serial and thread-pool executors (a real ``os._exit``
-    would kill the whole test process); both must report the same
-    worker-crashed failure the process pool does.
+    worker under the serial executor (a real ``os._exit`` would kill the
+    whole test process); it must report the same worker-crashed failure
+    the process pool does.
     """
     if name != "Killer":
         return resolve_method(name, config)
@@ -271,10 +275,10 @@ class TestRunSuite:
 class TestExecutorBackends:
     def test_manifest_and_report_record_the_executor(self, tmp_path):
         suite = _tiny_suite(name="exec-record")
-        report = run_suite(suite, tmp_path, jobs=2, executor="thread-pool")
-        assert report.executor == "thread-pool"
+        report = run_suite(suite, tmp_path, jobs=2, executor="process-pool")
+        assert report.executor == "process-pool"
         manifest = load_manifest(report.suite_dir)
-        assert manifest["executor"] == "thread-pool"
+        assert manifest["executor"] == "process-pool"
 
     def test_single_job_auto_stays_serial(self, tmp_path):
         report = run_suite(
@@ -300,23 +304,21 @@ class TestExecutorBackends:
                 for j in manifest["jobs"]
             )
 
-        serial = hashes("serial")
-        assert hashes("thread-pool") == serial
-        assert hashes("process-pool") == serial
+        assert hashes("process-pool") == hashes("serial")
 
     def test_suite_spec_executor_backend_is_used(self, tmp_path):
-        suite = _tiny_suite(name="exec-spec", executor_backend="thread-pool")
+        suite = _tiny_suite(name="exec-spec", executor_backend="process-pool")
         report = run_suite(suite, tmp_path, jobs=2)
-        assert report.executor == "thread-pool"
+        assert report.executor == "process-pool"
 
     def test_explicit_argument_overrides_suite_spec(self, tmp_path):
-        suite = _tiny_suite(name="exec-override", executor_backend="thread-pool")
+        suite = _tiny_suite(name="exec-override", executor_backend="process-pool")
         report = run_suite(suite, tmp_path, jobs=2, executor="serial")
         assert report.executor == "serial"
 
-    def test_thread_pool_timeout_without_sigalrm(self, tmp_path):
+    def test_process_pool_timeout_inside_the_worker(self, tmp_path):
         suite = SuiteSpec(
-            name="slow-threads",
+            name="slow-pool",
             datasets=["tiny"],
             methods=["HTC"],
             config=dict(FAST_CONFIG),
@@ -326,7 +328,7 @@ class TestExecutorBackends:
             suite,
             tmp_path,
             jobs=2,
-            executor="thread-pool",
+            executor="process-pool",
             method_resolver=_sleepy_resolver,
         )
         assert report.counts == {"timeout": 1}
@@ -357,7 +359,7 @@ class TestWorkerCrashRecovery:
         (killed,) = [a for a in report.artifacts if a["spec"]["method"] == "Killer"]
         assert "worker crashed" in killed["error"]
 
-    @pytest.mark.parametrize("executor", ["serial", "thread-pool"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_in_process_backends_fail_identically(self, tmp_path, executor):
         report = run_suite(
             self._crash_suite(),
@@ -622,3 +624,58 @@ class TestIntegrationChunking:
             )
             assert final.shape == (0, 5)
             assert importance == {0: 0.75, 1: 0.25}
+
+
+class TestCostModel:
+    """Longest-expected-first submission order for pooled runs."""
+
+    def _job(self, method="HTC", scale=None, epochs=None, n_runs=1):
+        params = {} if scale is None else {"scale": scale}
+        config = {} if epochs is None else {"epochs": epochs}
+        return JobSpec.create(
+            "econ", method, dataset_params=params, config=config, n_runs=n_runs
+        )
+
+    def test_prior_wall_seconds_reads_manifest(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "jobs": [
+                        {"job_id": "a", "wall_seconds": 4.5},
+                        {"job_id": "b", "wall_seconds": 0.0},
+                        {"job_id": "c", "wall_seconds": "bogus"},
+                    ]
+                }
+            )
+        )
+        assert _prior_wall_seconds(manifest) == {"a": 4.5}
+        assert _prior_wall_seconds(tmp_path / "missing.json") == {}
+
+    def test_priors_order_longest_first(self):
+        fast = self._job(scale=0.1)
+        slow = self._job(scale=0.2)
+        prior = {fast.job_id: 1.0, slow.job_id: 40.0}
+        assert order_longest_first([fast, slow], prior) == [slow, fast]
+
+    def test_heuristic_fallback_orders_by_grid_size(self):
+        small = self._job(scale=0.1, epochs=10)
+        large = self._job(scale=0.4, epochs=10)
+        cheap = self._job(method="Degree", scale=0.4, epochs=10)
+        ordered = order_longest_first([cheap, small, large], {})
+        assert ordered == [large, small, cheap]
+
+    def test_calibration_puts_heuristics_on_the_prior_axis(self):
+        # The recorded 50s job anchors the calibration; the heuristic-only
+        # cheap baseline lands well below it on the shared seconds axis.
+        htc = self._job(scale=0.1, epochs=10)
+        degree = self._job(method="Degree", scale=0.1, epochs=10)
+        prior = {htc.job_id: 50.0}
+        assert order_longest_first([degree, htc], prior) == [htc, degree]
+
+    def test_ties_keep_submission_order(self):
+        first = self._job(scale=0.2, epochs=10)
+        second = JobSpec.create(
+            "bn", "HTC", dataset_params={"scale": 0.2}, config={"epochs": 10}
+        )
+        assert order_longest_first([first, second], {}) == [first, second]
