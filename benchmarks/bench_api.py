@@ -14,9 +14,8 @@ Three measurements back the :mod:`repro.api` subsystem:
 3. **Structured errors.**  Out-of-range nodes, wrong-dtype nodes and
    unknown artifacts must come back as structured 400/422/404 JSON bodies.
 
-The serving stack is recorded in the payload (``http.backend``) because QPS
-is not comparable between the stdlib server and uvicorn — the regression
-gate only compares same-backend runs.
+The payload records the server (``http.backend``: ``"stdlib"``, the API's
+one transport); the regression gate only compares runs of the same server.
 
 Results land in ``BENCH_api.json`` at the repo root plus a readable table
 under ``benchmarks/results/``.

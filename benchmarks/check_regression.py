@@ -124,9 +124,8 @@ CHECKS = {
     "BENCH_api.json": [
         ("parity_with_direct", "true", None),
         ("structured_errors", "true", None),
-        # Calibrated far below the in-container measurement (~180k quick);
-        # the subtree records "backend": "stdlib" so runs fronted by a
-        # different server stack skip the relative checks.
+        # Calibrated far below the in-container measurement (~180k quick).
+        # The subtree records "backend": "stdlib", the API's one transport.
         ("http.sustained_qps", "floor", 15000.0),
         ("http.sustained_qps", "rate", None),
         ("http.p99_ms", "time", None),

@@ -25,8 +25,8 @@ Eleven sub-commands cover the typical workflows without writing Python:
     Answer match / top-k / reverse-match queries from a stored artifact,
     printing the same versioned JSON payload the HTTP API returns.
 ``serve``
-    Serve an artifact store over HTTP (:mod:`repro.api`): uvicorn/FastAPI
-    when installed, the dependency-free stdlib server otherwise.
+    Serve an artifact store over HTTP (:mod:`repro.api`) on the
+    dependency-free stdlib server.
 ``serve-stats``
     Inspect an artifact store from its SQLite catalog (ids, shapes, index
     sizes) — the same payload as ``GET /artifacts``.
@@ -79,8 +79,8 @@ from repro.eval.robustness import run_robustness
 from repro.orbits.engine import available_backends as available_orbit_backends
 from repro.api.models import (
     TOP_K_OPS,
+    QueryRequest,
     artifact_list_payload,
-    make_query_request,
     response_payload,
 )
 from repro.runner import SuiteSpec, resolve_method, run_suite
@@ -389,14 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8000, help="bind port")
     serve.add_argument(
-        "--server",
-        choices=("auto", "uvicorn", "stdlib"),
-        default="auto",
-        help="HTTP stack: uvicorn/FastAPI (optional dependency) or the "
-        "dependency-free stdlib server; auto picks uvicorn when installed. "
-        "Responses are identical either way.",
-    )
-    serve.add_argument(
         "--preload",
         action="store_true",
         help="host every stored artifact at startup instead of lazily on "
@@ -412,10 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--format",
-        choices=("json", "table", "prometheus"),
+        choices=("json", "prometheus"),
         default="json",
         help="json: the same payload as GET /artifacts (default); "
-        "table: the deprecated pre-API manifest-walk table; "
         "prometheus: the same text exposition format as GET /metrics, with "
         "store-level gauges — scrapeable without a running server",
     )
@@ -631,7 +622,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     k = args.k if op in TOP_K_OPS else None
     # The one shared entry point: the CLI is a thin client of service.query,
     # printing exactly what the HTTP layer would have returned.
-    response = service.query(make_query_request(artifact_id, op, args.nodes, k))
+    response = service.query(QueryRequest(artifact_id, op, args.nodes, k))
     print(json.dumps(response_payload(response), indent=2))
     stats = service.stats()
     print(
@@ -642,24 +633,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.api.asgi import fastapi_available, run_uvicorn
     from repro.api.core import ApiState
     from repro.api.http import make_server
 
     state = ApiState(root=args.artifact_root)
     if args.preload:
         print(f"[preloaded {state.preload()} artifact(s)]", file=sys.stderr)
-    kind = args.server
-    if kind == "auto":
-        kind = "uvicorn" if fastapi_available() else "stdlib"
     print(
-        f"[serving {args.artifact_root} on http://{args.host}:{args.port} "
-        f"via {kind}]",
+        f"[serving {args.artifact_root} on http://{args.host}:{args.port}]",
         file=sys.stderr,
     )
-    if kind == "uvicorn":
-        run_uvicorn(state, host=args.host, port=args.port)
-        return 0
     server = make_server(state, host=args.host, port=args.port, quiet=False)
     try:
         server.serve_forever()
@@ -693,36 +676,13 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
         state = ApiState(root=args.artifact_root, metrics=registry)
         print(handle_metrics(state).text, end="")
         return 0
-    if args.format == "json":
-        catalog = ArtifactCatalog.for_store(args.artifact_root)
-        if catalog.count() < len(manifests):
-            # Pre-catalog store (or hand-edited): backfill before answering.
-            catalog.sync(args.artifact_root)
-        print(
-            json.dumps(
-                artifact_list_payload(catalog.find(), source="catalog"), indent=2
-            )
-        )
-        return 0
-    rows = []
-    for manifest in manifests:
-        index_meta = dict(manifest.get("index", {}))
-        shape = index_meta.get("shape", ["?", "?"])
-        metadata = dict(manifest.get("metadata", {}))
-        rows.append(
-            {
-                "artifact_id": manifest.get("artifact_id", "?"),
-                "dataset": metadata.get("dataset", ""),
-                "method": metadata.get("method", ""),
-                "shape": f"{shape[0]}x{shape[1]}",
-                "dtype": manifest.get("dtype", "?"),
-                "k": index_meta.get("k", "?"),
-                "schema": ".".join(
-                    str(x) for x in manifest.get("schema_version", [])
-                ),
-            }
-        )
-    print(format_table(rows, title=f"Artifacts under {args.artifact_root}"))
+    catalog = ArtifactCatalog.for_store(args.artifact_root)
+    if catalog.count() < len(manifests):
+        # Pre-catalog store (or hand-edited): backfill before answering.
+        catalog.sync(args.artifact_root)
+    print(
+        json.dumps(artifact_list_payload(catalog.find(), source="catalog"), indent=2)
+    )
     return 0
 
 

@@ -17,9 +17,8 @@ counting.  Two backends are registered out of the box:
 Backend selection lives in the shared :mod:`repro.backend` registry (kind
 ``"orbit"``): this module registers its counters there and the
 ``available_backends`` / ``resolve_backend`` / ``register_backend``
-functions below are thin views over that registry, kept for backward
-compatibility with PR-1-era callers (``HTCConfig.orbit_backend`` resolves
-through the same path).
+functions below are thin views over that registry
+(``HTCConfig.orbit_backend`` resolves through the same path).
 
 ``backend="auto"`` (the default) resolves to the fastest available backend.
 Passing a :class:`repro.orbits.cache.OrbitCache` (or a cache spec via

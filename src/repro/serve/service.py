@@ -39,7 +39,6 @@ from repro.api.models import (
     TOP_K_OPS,
     QueryRequest,
     QueryResponse,
-    make_query_request,
     make_query_response,
     parse_query_request,
 )
@@ -398,26 +397,24 @@ class AlignmentService:
 
     def match(self, artifact_id: str, source_nodes) -> np.ndarray:
         """Best target per source node (batched argmax)."""
-        return self.query(
-            make_query_request(artifact_id, "match", source_nodes)
-        ).results
+        return self.query(QueryRequest(artifact_id, "match", source_nodes)).results
 
     def top_k(self, artifact_id: str, source_nodes, k: int) -> np.ndarray:
         """Top-``k`` targets per source node, best first."""
         return self.query(
-            make_query_request(artifact_id, "top_k", source_nodes, int(k))
+            QueryRequest(artifact_id, "top_k", source_nodes, int(k))
         ).results
 
     def reverse_match(self, artifact_id: str, target_nodes) -> np.ndarray:
         """Best source per target node (argmax over columns)."""
         return self.query(
-            make_query_request(artifact_id, "reverse_match", target_nodes)
+            QueryRequest(artifact_id, "reverse_match", target_nodes)
         ).results
 
     def reverse_top_k(self, artifact_id: str, target_nodes, k: int) -> np.ndarray:
         """Top-``k`` sources per target node, best first."""
         return self.query(
-            make_query_request(artifact_id, "reverse_top_k", target_nodes, int(k))
+            QueryRequest(artifact_id, "reverse_top_k", target_nodes, int(k))
         ).results
 
     def _run_op(

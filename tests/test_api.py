@@ -1,16 +1,18 @@
-"""The repro.api surface: models, dispatch, HTTP servers, catalog, versions.
+"""The repro.api surface: models, dispatch, the HTTP server, catalog, versions.
 
-The stdlib HTTP server is always available, so the end-to-end tests below
-(structured 4xx bodies over a real socket, bit-parity of HTTP responses with
-direct ``AlignmentService`` calls) run everywhere; the FastAPI-specific tests
-skip themselves when the optional dependency is absent.
+The stdlib HTTP server needs no optional dependency, so the end-to-end tests
+below (structured 4xx bodies over a real socket, request framing, bit-parity
+of HTTP responses with direct ``AlignmentService`` calls) run everywhere.
 """
 
 import http.client
-import importlib.util
 import json
+import os
+import socket
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from repro.api.models import (
     API_SCHEMA_VERSION,
     QUERY_OPS,
     ApiValidationError,
-    make_query_request,
+    QueryRequest,
     make_query_response,
     parse_query_request,
     response_payload,
@@ -120,39 +122,6 @@ class TestParseQueryRequest:
         assert body["error"]["code"] == "validation_error"
         assert body["error"]["detail"]
 
-    def test_dataclass_fallback_mirrors_schema(self):
-        """Re-execute models.py with pydantic blocked: same behaviour."""
-        import repro.api.models as canonical
-
-        spec = importlib.util.spec_from_file_location(
-            "repro_api_models_nopydantic", canonical.__file__
-        )
-        module = importlib.util.module_from_spec(spec)
-        saved = sys.modules.get("pydantic")
-        sys.modules["pydantic"] = None  # forces ImportError in the probe
-        sys.modules[spec.name] = module  # @dataclass resolves the module
-        try:
-            spec.loader.exec_module(module)
-        finally:
-            del sys.modules[spec.name]
-            if saved is not None:
-                sys.modules["pydantic"] = saved
-            else:
-                del sys.modules["pydantic"]
-        assert module.USING_PYDANTIC is False
-        request = module.parse_query_request(
-            {"artifact_id": "a", "op": "top_k", "nodes": [0, 1], "k": 2}
-        )
-        assert (request.artifact_id, request.op, request.k) == ("a", "top_k", 2)
-        response = module.make_query_response(request, np.array([[1, 2], [3, 4]]), "float64")
-        payload = module.response_payload(response)
-        assert payload["results"] == [[1, 2], [3, 4]]
-        assert payload["schema_version"] == canonical.API_SCHEMA_VERSION
-        with pytest.raises(module.ApiValidationError):
-            module.parse_query_request(
-                {"artifact_id": "a", "op": "match", "nodes": [0.5]}
-            )
-
 
 # ----------------------------------------------------------------------
 # the shared service.query entry point
@@ -164,11 +133,11 @@ class TestServiceQuery:
         service.load(root, artifact_id)
         nodes = np.arange(matrix.shape[0])
         via_query = service.query(
-            make_query_request(artifact_id, "match", nodes)
+            QueryRequest(artifact_id, "match", nodes)
         ).results
         np.testing.assert_array_equal(via_query, service.match(artifact_id, nodes))
         np.testing.assert_array_equal(via_query, matrix.argmax(axis=1))
-        top = service.query(make_query_request(artifact_id, "top_k", [0, 1], 3))
+        top = service.query(QueryRequest(artifact_id, "top_k", [0, 1], 3))
         np.testing.assert_array_equal(top.results, service.top_k(artifact_id, [0, 1], 3))
         assert top.k == 3
         assert top.score_dtype == "float64"
@@ -189,11 +158,11 @@ class TestServiceQuery:
         service = AlignmentService()
         service.load(root, artifact_id)
         with pytest.raises(KeyError):
-            service.query(make_query_request("nope", "match", [0]))
+            service.query(QueryRequest("nope", "match", [0]))
         with pytest.raises(IndexError):
-            service.query(make_query_request(artifact_id, "match", [10_000]))
+            service.query(QueryRequest(artifact_id, "match", [10_000]))
         with pytest.raises(ValueError):
-            service.query(make_query_request(artifact_id, "top_k", [0]))  # no k
+            service.query(QueryRequest(artifact_id, "top_k", [0]))  # no k
 
     def test_describe_and_stats_carry_versions(self, store):
         root, artifact_id, _ = store
@@ -541,6 +510,63 @@ class TestHTTPServer:
         assert not failures
 
 
+def _raw_exchange(server, data):
+    """Send raw bytes on one connection; return everything read until close.
+
+    A reset after the reply counts as a close: the server may drop a
+    connection whose request body it never read.
+    """
+    chunks = []
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(data)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _post_head(length):
+    return (
+        "POST /match HTTP/1.1\r\nHost: test\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode()
+
+
+class TestRequestFraming:
+    """Bodies the handler cannot frame get a structured reply and a close."""
+
+    def _assert_one_closed_reply(self, reply, status):
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), reply[:200]
+        assert b"connection: close" in head.lower()
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        payload = json.loads(body)
+        assert payload["error"]["code"] == "validation_error"
+        assert payload["schema_version"] == API_SCHEMA_VERSION
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_invalid_content_length_is_structured_400(self, length):
+        with BackgroundServer(ApiState()) as server:
+            reply = _raw_exchange(server, _post_head(length) + b"{}")
+        self._assert_one_closed_reply(reply, 400)
+        assert b"Content-Length" in reply
+
+    def test_oversized_body_closes_keep_alive_connection(self, monkeypatch):
+        import repro.api.http as http_module
+
+        monkeypatch.setattr(http_module, "MAX_BODY_BYTES", 8)
+        follow_up = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+        with BackgroundServer(ApiState()) as server:
+            reply = _raw_exchange(server, _post_head(32) + b"x" * 32 + follow_up)
+        self._assert_one_closed_reply(reply, 413)
+
+
 # ----------------------------------------------------------------------
 # the SQLite catalog
 # ----------------------------------------------------------------------
@@ -646,52 +672,25 @@ class TestCatalog:
         assert record["schema_version"] == "1.1"
 
 
-# ----------------------------------------------------------------------
-# optional FastAPI transport (skips when not installed)
-# ----------------------------------------------------------------------
-class TestAsgi:
-    def test_create_app_without_fastapi_raises(self, monkeypatch):
-        import repro.api.asgi as asgi
-
-        monkeypatch.setattr(asgi, "fastapi_available", lambda: False)
-        with pytest.raises(RuntimeError, match="stdlib"):
-            asgi.create_app()
-
-    def test_fastapi_parity_with_stdlib(self, store):
-        pytest.importorskip("fastapi")
-        testclient = pytest.importorskip("fastapi.testclient")
-        from repro.api.asgi import create_app
-
-        root, artifact_id, _ = store
-        state = ApiState(root=root)
-        client = testclient.TestClient(create_app(state))
-        body = {"artifact_id": artifact_id, "nodes": [0, 1, 2], "k": 3}
-        asgi_response = client.post("/top_k", json=body)
-        status, stdlib_payload = dispatch(
-            ApiState(root=root), "POST", "/top_k", body=body
-        )
-        assert asgi_response.status_code == status == 200
-        assert asgi_response.json() == stdlib_payload
-        # GET parity: /backends and the paginated /artifacts listing must be
-        # byte-identical across transports (both render the same dispatch
-        # payload).
-        for path, params in [
-            ("/backends", None),
-            ("/artifacts", {"limit": "1", "offset": "0"}),
-        ]:
-            asgi_response = client.get(path, params=params)
-            status, stdlib_payload = dispatch(
-                ApiState(root=root), "GET", path, params=params
-            )
-            assert asgi_response.status_code == status == 200
-            assert asgi_response.json() == json.loads(json.dumps(stdlib_payload))
-        assert client.get("/health").json()["status"] == "ok"
-        assert client.post(
-            "/match", json={"artifact_id": "nope", "nodes": [0]}
-        ).status_code == 404
-
-
 class TestPackageSurface:
+    def test_cli_and_server_import_no_web_framework(self):
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.api.http\n"
+            "loaded = {'pydantic', 'fastapi', 'uvicorn'} & set(sys.modules)\n"
+            "print(sorted(loaded))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_lazy_exports_resolve(self):
         import repro.api
 
@@ -709,12 +708,12 @@ class TestPackageSurface:
         root, artifact_id, _ = store
         service = AlignmentService()
         service.load(root, artifact_id)
-        response = service.query(make_query_request(artifact_id, "top_k", [0, 1], 2))
+        response = service.query(QueryRequest(artifact_id, "top_k", [0, 1], 2))
         payload = response_payload(response)
         assert json.loads(json.dumps(payload)) == payload
 
     def test_make_query_response_counts_nodes(self):
-        request = make_query_request("a", "match", np.array([1, 2, 3]))
+        request = QueryRequest("a", "match", np.array([1, 2, 3]))
         response = make_query_response(request, np.array([4, 5, 6]), "float32")
         assert response.n_nodes == 3
         assert response.score_dtype == "float32"

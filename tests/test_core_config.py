@@ -1,10 +1,7 @@
 """Tests for HTCConfig validation and derived properties."""
 
-import warnings
-
 import pytest
 
-import repro.core.config as config_module
 from repro.core.config import HTCConfig
 
 
@@ -65,30 +62,15 @@ class TestHTCConfig:
         assert config.topology_mode == "diffusion"
 
 
-class TestOrbitBackendDeprecation:
-    """Locks the PR-5 ``orbit_backend`` alias: warns once, still works."""
-
-    def test_explicit_backend_warns_once_and_still_resolves(self, monkeypatch):
+class TestOrbitBackendField:
+    def test_explicit_backend_resolves_through_registry(self):
         from repro.orbits.engine import orbit_registry
 
-        monkeypatch.setattr(config_module, "_ORBIT_BACKEND_WARNED", False)
-        with pytest.warns(DeprecationWarning, match="orbit_backend"):
-            config = HTCConfig(orbit_backend="numpy")
-        # The alias keeps resolving through the shared "orbit" registry.
+        config = HTCConfig(orbit_backend="numpy")
         assert config.orbit_backend == "numpy"
         assert orbit_registry().resolve(config.orbit_backend) == "numpy"
-        # Warn-once: a second explicit use stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            HTCConfig(orbit_backend="numpy")
 
-    def test_auto_default_never_warns(self, monkeypatch):
-        monkeypatch.setattr(config_module, "_ORBIT_BACKEND_WARNED", False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            HTCConfig()
-
-    def test_invalid_backend_still_rejected(self):
+    def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="orbit_backend"):
             HTCConfig(orbit_backend="abacus")
 

@@ -567,27 +567,6 @@ class TestMetricsEndpoint:
         _, raw = dispatch(state, "GET", "/metrics")
         assert body == raw.text
 
-    def test_fastapi_metrics_parity_with_stdlib(self, store):
-        pytest.importorskip("fastapi")
-        testclient = pytest.importorskip("fastapi.testclient")
-        from repro.api.asgi import create_app
-
-        root, artifact_id = store
-        state = self._state(store)
-        client = testclient.TestClient(create_app(state))
-        body = {"artifact_id": artifact_id, "nodes": [0, 1, 2]}
-        assert client.post("/match", json=body).status_code == 200
-        asgi_scrape = client.get("/metrics")
-        assert asgi_scrape.status_code == 200
-        assert (
-            asgi_scrape.headers["content-type"] == PROMETHEUS_CONTENT_TYPE
-        )
-        # Byte-identical with the stdlib/dispatch rendering of the same
-        # state — the transport contributes nothing to the page.
-        _, raw = dispatch(state, "GET", "/metrics")
-        assert asgi_scrape.text == raw.text
-        assert "api_request_seconds_bucket" in asgi_scrape.text
-
 
 # ----------------------------------------------------------------------
 # runner integration
