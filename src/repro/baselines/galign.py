@@ -24,7 +24,7 @@ from repro.datasets.pair import GraphPair
 from repro.graph.attributed_graph import AttributedGraph
 from repro.graph.laplacian import normalized_laplacian
 from repro.graph.perturbation import remove_edges
-from repro.nn.functional import frobenius_loss
+from repro.nn.functional import gram_reconstruction_loss, squared_frobenius_norm
 from repro.nn.layers import SharedGCNEncoder
 from repro.nn.optim import Adam
 from repro.similarity.measures import cosine_similarity
@@ -86,8 +86,8 @@ class GAlign(BaseAligner):
 
         source_views = self._views(pair.source, rng)
         target_views = self._views(pair.target, rng)
-        source_targets = [np.asarray(view.todense()) for view in source_views]
-        target_targets = [np.asarray(view.todense()) for view in target_views]
+        source_norms = [squared_frobenius_norm(view) for view in source_views]
+        target_norms = [squared_frobenius_norm(view) for view in target_views]
 
         encoder = SharedGCNEncoder(
             in_features=pair.source.n_attributes,
@@ -100,13 +100,13 @@ class GAlign(BaseAligner):
         for _ in range(self.epochs):
             optimizer.zero_grad()
             total = None
-            for views, targets, attributes in (
-                (source_views, source_targets, pair.source.attributes),
-                (target_views, target_targets, pair.target.attributes),
+            for views, norms, attributes in (
+                (source_views, source_norms, pair.source.attributes),
+                (target_views, target_norms, pair.target.attributes),
             ):
-                for view, target_dense in zip(views, targets):
+                for view, norm in zip(views, norms):
                     embedding = encoder(view, attributes)
-                    loss = frobenius_loss(embedding @ embedding.T, target_dense)
+                    loss = gram_reconstruction_loss(embedding, view, norm)
                     total = loss if total is None else total + loss
             total.backward()
             optimizer.step()

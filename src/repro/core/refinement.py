@@ -94,7 +94,10 @@ class TrustedPairRefiner:
         target_embedding = encoder(target_laplacian, target_attributes).detach().numpy()
 
         best_matrix = self._score_matrix(source_embedding, target_embedding)
-        best_count = len(mutual_nearest_neighbors(best_matrix))
+        # ``pairs`` always holds the trusted pairs of the latest scored
+        # matrix, so the next iteration reinforces them without a recount.
+        pairs = mutual_nearest_neighbors(best_matrix)
+        best_count = len(pairs)
         best_source, best_target = source_embedding, target_embedding
 
         if not self.config.use_refinement:
@@ -107,11 +110,9 @@ class TrustedPairRefiner:
             )
 
         max_count = best_count
-        current_matrix = best_matrix
         iterations = 0
         for iterations in range(1, self.config.max_refinement_iterations + 1):
             # Reinforce the aggregation coefficients of the trusted nodes.
-            pairs = mutual_nearest_neighbors(current_matrix)
             for i, j in pairs:
                 reinforcement_source[i] *= beta
                 reinforcement_target[j] *= beta
@@ -129,7 +130,8 @@ class TrustedPairRefiner:
                 encoder(reinforced_target, target_attributes).detach().numpy()
             )
             current_matrix = self._score_matrix(source_embedding, target_embedding)
-            current_count = len(mutual_nearest_neighbors(current_matrix))
+            pairs = mutual_nearest_neighbors(current_matrix)
+            current_count = len(pairs)
             logger.debug(
                 "refinement iteration %d: %d trusted pairs", iterations, current_count
             )

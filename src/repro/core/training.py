@@ -11,13 +11,13 @@ which is also the mechanism behind HTC's robustness to edge removal.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import HTCConfig
-from repro.nn.functional import frobenius_loss
+from repro.nn.functional import gram_reconstruction_loss, squared_frobenius_norm
 from repro.nn.layers import SharedGCNEncoder
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
@@ -30,16 +30,17 @@ def reconstruction_loss(
     encoder: SharedGCNEncoder,
     laplacian: sp.spmatrix,
     attributes: np.ndarray,
-    target_dense: np.ndarray,
+    laplacian_sq_norm: Optional[float] = None,
 ) -> Tensor:
     """Orbit-reconstruction loss of one graph on one view (Eq. 6-7).
 
-    ``target_dense`` is the densified Laplacian the inner product
-    ``H H^T`` must reconstruct.
+    The inner product ``H H^T`` of the encoder's embeddings must reconstruct
+    ``laplacian``; the loss is computed in O(n d^2 + nnz d) without forming
+    either n x n matrix.  ``laplacian_sq_norm`` is ``||laplacian||_F^2``,
+    precomputed by callers that reuse the view across epochs.
     """
     embedding = encoder(laplacian, attributes)
-    reconstruction = embedding @ embedding.T
-    return frobenius_loss(reconstruction, target_dense)
+    return gram_reconstruction_loss(embedding, laplacian, laplacian_sq_norm)
 
 
 class MultiOrbitTrainer:
@@ -70,9 +71,9 @@ class MultiOrbitTrainer:
             weight_decay=self.config.weight_decay,
         )
 
-        # Densify the reconstruction targets once (they are constants).
-        source_targets = {k: np.asarray(v.todense()) for k, v in source_views.items()}
-        target_targets = {k: np.asarray(v.todense()) for k, v in target_views.items()}
+        # The targets are constants: only their squared norms are precomputed.
+        source_norms = {k: squared_frobenius_norm(v) for k, v in source_views.items()}
+        target_norms = {k: squared_frobenius_norm(v) for k, v in target_views.items()}
 
         losses: List[float] = []
         for epoch in range(self.config.epochs):
@@ -83,13 +84,13 @@ class MultiOrbitTrainer:
                     encoder,
                     source_views[view_id],
                     source_attributes,
-                    source_targets[view_id],
+                    source_norms[view_id],
                 )
                 loss_target = reconstruction_loss(
                     encoder,
                     target_views[view_id],
                     target_attributes,
-                    target_targets[view_id],
+                    target_norms[view_id],
                 )
                 view_loss = loss_source + loss_target
                 total = view_loss if total is None else total + view_loss

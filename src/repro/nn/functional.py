@@ -2,13 +2,13 @@
 
 These cover exactly what the library's models need: non-linearities, matrix
 products (including the sparse-constant product used for Laplacian
-propagation), reductions, and the Frobenius reconstruction loss used by the
-multi-orbit-aware trainer (Eq. 7 of the paper).
+propagation), reductions, and the low-rank Frobenius reconstruction loss
+used by the multi-orbit-aware trainer (Eq. 7 of the paper).
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,22 +138,59 @@ def softmax_rows(tensor: Tensor) -> Tensor:
     return out
 
 
-def frobenius_loss(reconstruction: Tensor, target: Union[np.ndarray, sp.spmatrix]) -> Tensor:
-    """Frobenius-norm reconstruction loss ``||target - reconstruction||_F``.
+def squared_frobenius_norm(matrix: sp.spmatrix) -> float:
+    """``||matrix||_F^2`` of a sparse matrix, without densifying it."""
+    return float(matrix.multiply(matrix).sum())
 
-    ``target`` is a constant (dense array or sparse matrix densified once).
-    A small epsilon keeps the square root differentiable at zero.
+
+def gram_reconstruction_loss(
+    embedding: Tensor,
+    laplacian: Union[np.ndarray, sp.spmatrix],
+    laplacian_sq_norm: Optional[float] = None,
+) -> Tensor:
+    """Inner-product reconstruction loss ``||H H^T - L||_F`` (Eq. 7).
+
+    One tape node that never forms the n x n product ``H H^T``: with the
+    d x d Gram matrix ``G = H^T H`` the squared loss expands to
+    ``||G||_F^2 - 2 tr(H^T L H) + ||L||_F^2``, which costs O(n d^2 + nnz d)
+    time and O(n d) memory.  Its gradient is
+    ``(2 H G - (L + L^T) H) / loss``; ``L`` need not be symmetric.
+
+    ``laplacian`` is a constant (sparse; a dense array is converted to CSR).
+    ``laplacian_sq_norm`` is its squared Frobenius norm, computed here when
+    omitted; callers that reuse one target across epochs pass it once.  The
+    squared sum is clamped at zero before the epsilon-guarded square root,
+    so rounding in the expansion cannot produce a NaN at an exact
+    reconstruction.
     """
-    if sp.issparse(target):
-        target = np.asarray(target.todense())
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != reconstruction.shape:
+    if not sp.issparse(laplacian):
+        laplacian = sp.csr_matrix(laplacian)
+    if embedding.ndim != 2 or laplacian.shape != (embedding.shape[0],) * 2:
         raise ValueError(
-            f"target shape {target.shape} != reconstruction shape {reconstruction.shape}"
+            f"target shape {laplacian.shape} does not match an embedding "
+            f"of shape {embedding.shape}"
         )
-    diff = reconstruction - Tensor(target)
-    squared = (diff * diff).sum()
-    return (squared + 1e-12) ** 0.5
+    if laplacian_sq_norm is None:
+        laplacian_sq_norm = squared_frobenius_norm(laplacian)
+
+    value = embedding.data
+    gram = value.T @ value
+    propagated = laplacian @ value
+    squared = np.vdot(gram, gram) - 2.0 * np.vdot(value, propagated) + laplacian_sq_norm
+    loss = np.sqrt(max(float(squared), 0.0) + 1e-12)
+    out = Tensor(
+        np.asarray(loss, dtype=value.dtype),
+        requires_grad=embedding.requires_grad,
+        _parents=(embedding,),
+    )
+
+    def backward(gradient: np.ndarray) -> None:
+        if embedding.requires_grad:
+            direction = 2.0 * (value @ gram) - propagated - laplacian.T @ value
+            embedding._accumulate(direction * (float(gradient) / loss))
+
+    out._backward = backward
+    return out
 
 
 def mse_loss(prediction: Tensor, target: Union[np.ndarray, Tensor]) -> Tensor:
@@ -177,6 +214,7 @@ __all__ = [
     "sum_all",
     "mean",
     "softmax_rows",
-    "frobenius_loss",
+    "squared_frobenius_norm",
+    "gram_reconstruction_loss",
     "mse_loss",
 ]

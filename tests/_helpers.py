@@ -8,6 +8,9 @@ modules lives here and is imported absolutely: ``from _helpers import ...``.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+
+from repro.nn.tensor import Tensor
 
 
 def numerical_gradient(func, value, epsilon=1e-6):
@@ -25,3 +28,16 @@ def numerical_gradient(func, value, epsilon=1e-6):
         flat[index] = original
         grad_flat[index] = (plus - minus) / (2 * epsilon)
     return gradient
+
+
+def dense_reconstruction_loss(embedding, target):
+    """Dense oracle of Eq. 7: ``||H H^T - target||_F`` built from tape ops.
+
+    It forms the n x n reconstruction and densifies ``target``, exactly as
+    the trainer did before the low-rank node; tests compare
+    :func:`repro.nn.functional.gram_reconstruction_loss` against it.
+    """
+    if sp.issparse(target):
+        target = target.toarray()
+    diff = embedding @ embedding.T - Tensor(np.asarray(target, dtype=np.float64))
+    return ((diff * diff).sum() + 1e-12) ** 0.5

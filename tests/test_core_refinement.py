@@ -3,11 +3,48 @@
 import numpy as np
 import pytest
 
+import repro.core.refinement as refinement_module
 from repro.core.config import HTCConfig
 from repro.core.encoder import build_topology_views, make_encoder
 from repro.core.refinement import RefinementOutput, TrustedPairRefiner
 from repro.core.training import MultiOrbitTrainer
 from repro.datasets.synthetic import tiny_pair
+from repro.graph.laplacian import reinforced_laplacian
+from repro.similarity.matching import mutual_nearest_neighbors
+
+
+def _recounting_refine_view(refiner, encoder, source_laplacian, target_laplacian,
+                            source_attributes, target_attributes):
+    """Algorithm 2 recounting the trusted pairs at every loop head: the
+    reference the pair-reusing ``refine_view`` must reproduce exactly."""
+    beta = refiner.config.reinforcement_rate
+    reinforcement_source = np.ones(source_attributes.shape[0])
+    reinforcement_target = np.ones(target_attributes.shape[0])
+    source = encoder(source_laplacian, source_attributes).detach().numpy()
+    target = encoder(target_laplacian, target_attributes).detach().numpy()
+    best = current = refiner._score_matrix(source, target)
+    best_source, best_target = source, target
+    max_count = len(mutual_nearest_neighbors(best))
+    iterations = 0
+    for iterations in range(1, refiner.config.max_refinement_iterations + 1):
+        for i, j in mutual_nearest_neighbors(current):
+            reinforcement_source[i] *= beta
+            reinforcement_target[j] *= beta
+        source = encoder(
+            reinforced_laplacian(source_laplacian, reinforcement_source),
+            source_attributes,
+        ).detach().numpy()
+        target = encoder(
+            reinforced_laplacian(target_laplacian, reinforcement_target),
+            target_attributes,
+        ).detach().numpy()
+        current = refiner._score_matrix(source, target)
+        count = len(mutual_nearest_neighbors(current))
+        if count <= max_count:
+            break
+        max_count, best = count, current
+        best_source, best_target = source, target
+    return RefinementOutput(best, max_count, iterations, best_source, best_target)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +154,47 @@ class TestRefineView:
         )
         # Pearson scores are bounded by 1 in absolute value.
         assert np.abs(pearson_output.alignment_matrix).max() <= 1.0 + 1e-9
+
+
+    def test_trusted_pairs_counted_once_per_scored_matrix(
+        self, trained_setup, monkeypatch
+    ):
+        pair, config, encoder, source_views, target_views = trained_setup
+        refiner = TrustedPairRefiner(config)
+        calls = []
+
+        def counting(matrix):
+            calls.append(1)
+            return mutual_nearest_neighbors(matrix)
+
+        monkeypatch.setattr(refinement_module, "mutual_nearest_neighbors", counting)
+        iterations = []
+        for view_id in source_views:
+            args = (
+                encoder,
+                source_views[view_id],
+                target_views[view_id],
+                pair.source.attributes,
+                pair.target.attributes,
+            )
+            calls.clear()
+            output = refiner.refine_view(*args)
+            # One count of the initial matrix, one per re-scored matrix.
+            assert len(calls) == 1 + output.iterations
+            expected = _recounting_refine_view(refiner, *args)
+            np.testing.assert_array_equal(
+                output.alignment_matrix, expected.alignment_matrix
+            )
+            np.testing.assert_array_equal(
+                output.source_embedding, expected.source_embedding
+            )
+            np.testing.assert_array_equal(
+                output.target_embedding, expected.target_embedding
+            )
+            assert output.trusted_pairs == expected.trusted_pairs
+            assert output.iterations == expected.iterations
+            iterations.append(output.iterations)
+        assert max(iterations) >= 2
 
 
 class TestRefineAll:

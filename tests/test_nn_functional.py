@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.nn.functional import (
-    frobenius_loss,
     get_activation,
+    gram_reconstruction_loss,
     mse_loss,
     relu,
     sigmoid,
@@ -100,35 +100,35 @@ class TestSoftmaxRows:
 
 class TestLosses:
     def test_frobenius_loss_zero_for_exact_reconstruction(self):
-        target = np.eye(3)
-        loss = frobenius_loss(Tensor(target.copy(), requires_grad=True), target)
+        # H = I reconstructs L = I exactly: H H^T = I.
+        loss = gram_reconstruction_loss(Tensor(np.eye(3), requires_grad=True), np.eye(3))
         assert loss.item() == pytest.approx(0.0, abs=1e-5)
 
     def test_frobenius_loss_value(self):
-        target = np.zeros((2, 2))
-        loss = frobenius_loss(Tensor(np.ones((2, 2))), target)
+        # H H^T is the 2x2 all-ones matrix; its distance to zero is 2.
+        loss = gram_reconstruction_loss(Tensor(np.ones((2, 1))), np.zeros((2, 2)))
         assert loss.item() == pytest.approx(2.0)
 
     def test_frobenius_loss_gradient(self):
         rng = np.random.default_rng(2)
-        target = rng.normal(size=(3, 3))
-        value = rng.normal(size=(3, 3))
+        target = rng.normal(size=(4, 4))
+        value = rng.normal(size=(4, 2))
 
         def loss_fn(v):
-            return float(np.sqrt(((v - target) ** 2).sum() + 1e-12))
+            return float(np.sqrt(((v @ v.T - target) ** 2).sum() + 1e-12))
 
         x = Tensor(value.copy(), requires_grad=True)
-        frobenius_loss(x, target).backward()
+        gram_reconstruction_loss(x, target).backward()
         np.testing.assert_allclose(x.grad, numerical_gradient(loss_fn, value), atol=1e-4)
 
     def test_frobenius_loss_accepts_sparse_target(self):
         target = sp.identity(3, format="csr")
-        loss = frobenius_loss(Tensor(np.zeros((3, 3))), target)
+        loss = gram_reconstruction_loss(Tensor(np.zeros((3, 1))), target)
         assert loss.item() == pytest.approx(np.sqrt(3.0))
 
     def test_frobenius_shape_mismatch(self):
         with pytest.raises(ValueError):
-            frobenius_loss(Tensor(np.zeros((2, 2))), np.zeros((3, 3)))
+            gram_reconstruction_loss(Tensor(np.zeros((2, 2))), np.zeros((3, 3)))
 
     def test_mse_loss(self):
         loss = mse_loss(Tensor([1.0, 3.0]), np.array([0.0, 1.0]))
